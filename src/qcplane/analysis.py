@@ -148,8 +148,6 @@ def carleson_norm(
         raise ValueError("radii must be positive and nonempty")
 
     if isinstance(geometry, CurveTrace):
-        if geometry.size == 0:
-            raise ValueError("empty trace")
         centers = geometry.strided(_MAX_CURVE_CENTERS).points
         family = {
             "geometry": "curve",

@@ -9,14 +9,22 @@ invertibility constant c1 measured over a probe family.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
 from .field import BeltramiCoefficient, ComplexField, Grid, bandlimited_noise, indicator_ball, norm
 from .geometry import MapEvaluator
-from .transforms import LineFunction, SpectralPlan, cauchy_at_points, cauchy_line_derivative, cauchy_plane
+from .transforms import (
+    LineFunction,
+    SpectralPlan,
+    _nonzero_rows,
+    cauchy_at_points,
+    cauchy_line_derivative,
+    cauchy_plane,
+)
 
 __all__ = [
     "BeltramiCoefficient",
@@ -37,14 +45,29 @@ class NonConvergenceError(RuntimeError):
     """A solve did not reach its tolerance within the iteration budget."""
 
 
-@lru_cache(maxsize=8)
-def _cached_plan(grid: Grid, padding_factor: int) -> SpectralPlan:
-    return SpectralPlan(grid, padding_factor)
+_PLAN_CACHE_SIZE = 8
+_plans: OrderedDict[tuple[Grid, int], SpectralPlan] = OrderedDict()
+_plans_lock = threading.Lock()
 
 
 def plan_for(grid: Grid, padding_factor: int = 2) -> SpectralPlan:
-    """Shared spectral plan for a grid; plans are immutable, so caching is safe."""
-    return _cached_plan(grid, padding_factor)
+    """Shared spectral plan for a grid, from a least-recently-used cache.
+
+    The cache key is the pair (grid, padding_factor) however it is
+    spelled, so ``plan_for(g)``, ``plan_for(g, 2)`` and
+    ``plan_for(g, padding_factor=2)`` return one plan and one workspace.
+    Plans are safe to share across threads, so caching is safe.
+    """
+    key = (grid, padding_factor)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is None:
+            plan = _plans[key] = SpectralPlan(grid, padding_factor)
+            if len(_plans) > _PLAN_CACHE_SIZE:
+                _plans.popitem(last=False)
+        else:
+            _plans.move_to_end(key)
+    return plan
 
 
 def _field_summary(f: ComplexField) -> dict:
@@ -104,10 +127,6 @@ class OperatorStats:
         }
 
 
-def _mu_apply(mu: BeltramiCoefficient, values: np.ndarray) -> np.ndarray:
-    return mu.field.values * values
-
-
 def neumann_solve(
     mu: BeltramiCoefficient,
     phi: ComplexField,
@@ -142,6 +161,9 @@ def neumann_solve(
         plan = plan_for(mu.grid)
     support = max(mu.support_radius, phi.support_radius)
     area = mu.grid.cell_area()
+    mu_vals = mu.field.values
+    # mu S h is needed only on mu's rows, so S h is computed only there
+    rows = _nonzero_rows(mu_vals)
 
     h = phi.values.copy()
     history: list[float] = []
@@ -149,7 +171,7 @@ def neumann_solve(
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        step = phi.values + _mu_apply(mu, plan.apply(h, plan.multiplier_s))
+        step = phi.values + mu_vals * plan.apply(h, plan.multiplier_s, rows=rows)
         residual = float(np.sqrt(area * (np.abs(step - h) ** 2).sum()))
         history.append(residual)
         h = step
@@ -239,6 +261,7 @@ def weighted_operator_norm(
     inv_y = 1.0 / abs_y
     mu_vals = mu.field.values
     mu_conj = np.conj(mu_vals)
+    rows = _nonzero_rows(mu_vals)
 
     if initial is not None:
         if initial.grid != grid:
@@ -254,7 +277,7 @@ def weighted_operator_norm(
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        av = mu_vals * plan.apply(v, plan.multiplier_s)
+        av = mu_vals * plan.apply(v, plan.multiplier_s, rows=rows)
         lam = _weighted_norm_sq(av, inv_y, area)
         history.append(lam)
         if lam == 0.0:

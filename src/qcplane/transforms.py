@@ -17,6 +17,7 @@ K(x) = 2 log|(1+x)/x|.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,6 +27,7 @@ from .field import ComplexField, Grid
 
 __all__ = [
     "SpectralPlan",
+    "SupportViolation",
     "LineFunction",
     "beurling",
     "beurling_adjoint",
@@ -63,8 +65,18 @@ class SpectralPlan:
     -----
     All multipliers vanish at xi = 0: the mean is annihilated, which
     fixes T's additive constant (mean-zero gauge).  |m_S| = 1 at every
-    other lattice point.  Plans are immutable and safe to share across
-    threads.
+    other lattice point.
+
+    A padded apply is a pruned 2-D FFT (Frigo & Johnson 2005): the
+    forward row transforms run only over the input's nonzero row span,
+    since zero rows transform to zero, and the inverse row transforms
+    only over the output rows that are kept.  It works in place in a
+    (factor*n)^2 complex workspace, allocated on first use and reused,
+    so an apply touches no fresh pages besides its n x n result.  The
+    workspace costs 16 (factor*n)^2 bytes per plan and thread: 1 MiB at
+    n = 128 and 16 MiB at n = 512 with the default factor.  The tables
+    are read-only and each thread gets its own workspace, so a plan is
+    safe to share across threads.
     """
 
     def __init__(self, grid: Grid, padding_factor: int = 2):
@@ -86,16 +98,45 @@ class SpectralPlan:
         self.multiplier_t = m_t
         for table in (self.multiplier_s, self.multiplier_s_star, self.multiplier_t):
             table.setflags(write=False)
+        self._local = threading.local()
 
-    def apply(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Zero-pad, multiply in frequency, truncate back."""
+    def apply(self, values: np.ndarray, table: np.ndarray, rows: slice | None = None) -> np.ndarray:
+        """Zero-pad, multiply in frequency, truncate back.
+
+        ``rows`` (padding >= 2 only) selects the output rows to compute;
+        the others come back as zeros.  Callers that multiply the result
+        by a field pass that field's nonzero row span.
+        """
         n, N, off = self.grid.n, self.n_padded, self.offset
         if self.padding_factor == 1:
             return np.fft.ifft2(np.fft.fft2(values) * table)
-        big = np.zeros((N, N), dtype=complex)
-        big[off : off + n, off : off + n] = values
-        big = np.fft.ifft2(np.fft.fft2(big) * table)
-        return big[off : off + n, off : off + n]
+        out = np.zeros((n, n), dtype=complex)
+        span = _nonzero_rows(values)
+        keep = range(n)[rows if rows is not None else slice(None)]
+        if keep.step != 1:
+            raise ValueError("rows must be a contiguous slice")
+        if span.start == span.stop or not keep:
+            return out
+        work = getattr(self._local, "workspace", None)
+        if work is None:
+            work = self._local.workspace = np.empty((N, N), dtype=complex)
+        work.fill(0.0)
+        band = work[off + span.start : off + span.stop]
+        band[:, off : off + n] = values[span]
+        np.fft.fft(band, axis=1, out=band)
+        np.fft.fft(work, axis=0, out=work)
+        np.multiply(work, table, out=work)
+        np.fft.ifft(work, axis=0, out=work)
+        band = work[off + keep.start : off + keep.stop]
+        np.fft.ifft(band, axis=1, out=band)
+        out[keep.start : keep.stop] = band[:, off : off + n]
+        return out
+
+
+def _nonzero_rows(values: np.ndarray) -> slice:
+    """Smallest row slice holding every nonzero entry of ``values``."""
+    idx = np.flatnonzero(np.any(values, axis=1))
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
 def _check_plan(plan: SpectralPlan, f: ComplexField) -> None:

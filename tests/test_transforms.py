@@ -1,10 +1,17 @@
 """Spectral plane transforms, free-space point evaluation, line operators,
 and the difference-quotient kernel transform."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcplane as q
+
+TABLES = ("multiplier_s", "multiplier_s_star", "multiplier_t")
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +37,109 @@ class TestPlanPreconditions:
             q.beurling(plan_pad, f)
         # the periodic plan has no such precondition
         q.beurling(q.SpectralPlan(grid256, padding_factor=1), f)
+
+
+def dense_apply(plan, values, table):
+    """Unpruned padded apply: ifft2(fft2(zero-embedded) * table), cropped."""
+    n, N, off = plan.grid.n, plan.n_padded, plan.offset
+    big = np.zeros((N, N), dtype=complex)
+    big[off : off + n, off : off + n] = values
+    return np.fft.ifft2(np.fft.fft2(big) * table)[off : off + n, off : off + n]
+
+
+@st.composite
+def row_band(draw, n):
+    lo = draw(st.integers(0, n - 1))
+    return lo, draw(st.integers(lo + 1, n))
+
+
+def row_slices(n):
+    bound = st.none() | st.integers(-n, n)
+    return st.none() | st.builds(slice, bound, bound)
+
+
+class TestPaddedApply:
+    """The pruned in-place apply against the dense reference path."""
+
+    grid = q.Grid(4.0, 32)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factor=st.sampled_from([2, 3]),
+        table=st.sampled_from(TABLES),
+        band=row_band(32),
+        rows=row_slices(32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, factor, table, band, rows, seed):
+        plan = q.plan_for(self.grid, factor)
+        rng = np.random.default_rng(seed)
+        values = np.zeros((32, 32), dtype=complex)
+        lo, hi = band
+        values[lo:hi] = rng.standard_normal((hi - lo, 32)) + 1j * rng.standard_normal((hi - lo, 32))
+        values[lo, rng.integers(32)] = 1.0  # the band's first row is never all zero
+        ref = np.zeros((32, 32), dtype=complex)
+        keep = slice(None) if rows is None else rows
+        ref[keep] = dense_apply(plan, values, getattr(plan, table))[keep]
+        got = plan.apply(values, getattr(plan, table), rows=rows)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_zero_input_gives_zeros(self, table):
+        plan = q.plan_for(self.grid)
+        got = plan.apply(np.zeros((32, 32), dtype=complex), getattr(plan, table))
+        assert got.shape == (32, 32) and not got.any()
+
+    def test_rows_must_be_contiguous(self):
+        plan = q.plan_for(self.grid)
+        with pytest.raises(ValueError):
+            plan.apply(np.ones((32, 32)), plan.multiplier_s, rows=slice(0, 32, 2))
+
+    def test_result_not_aliased_to_workspace(self):
+        plan = q.plan_for(self.grid)
+        rng = np.random.default_rng(1)
+        a, b = (rng.standard_normal((32, 32)) + 0j for _ in range(2))
+        first = plan.apply(a, plan.multiplier_s)
+        kept = first.copy()
+        plan.apply(b, plan.multiplier_s)
+        assert np.array_equal(first, kept)  # survives the next apply
+        first[...] = np.nan
+        assert np.array_equal(plan.apply(a, plan.multiplier_s), kept)
+
+    def test_threads_reproduce_serial_results(self):
+        # large enough that the FFTs, which release the GIL, overlap
+        plan = q.plan_for(q.Grid(4.0, 128))
+        rng = np.random.default_rng(2)
+        inputs = [rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)) for _ in range(20)]
+        serial = [plan.apply(v, plan.multiplier_s) for v in inputs]
+        workers = 4
+        results: dict[int, list] = {}
+        start = threading.Barrier(workers)
+
+        def worker(k):
+            start.wait(timeout=60)
+            results[k] = [plan.apply(v, plan.multiplier_s) for v in inputs]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(workers):
+            assert all(np.array_equal(r, s) for r, s in zip(results[k], serial))
+
+    def test_plan_for_key_is_normalised(self):
+        plan = q.plan_for(self.grid)
+        assert q.plan_for(self.grid, 2) is plan
+        assert q.plan_for(self.grid, padding_factor=2) is plan
+        assert q.plan_for(q.Grid(4.0, 32), np.int64(2)) is plan
+        assert q.plan_for(self.grid, 1) is not plan
 
 
 class TestBeurling:
