@@ -306,20 +306,34 @@ def read_field(path) -> ComplexField:
     The declared support radius is reconstructed from the nonzero
     samples (smallest origin-centered disc covering them, padded by one
     cell), since the format does not carry it.
+
+    Raises
+    ------
+    ValueError
+        On a corrupt or truncated file: a short header, a half-width
+        that is not finite and positive, a payload that does not hold
+        n*n complex samples, or a header the grid rejects.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError("truncated field file: short header")
         half_width, n, stagger = _HEADER.unpack(header)
-        grid = Grid(half_width, int(n))
-        if abs(stagger - grid.stagger) > 1e-12 * grid.spacing:
+        if not (np.isfinite(half_width) and half_width > 0):
             raise ValueError(
-                f"stagger {stagger} inconsistent with grid spacing {grid.spacing}"
+                f"corrupt field file: half_width {half_width} must be finite and positive"
             )
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if payload.size != 2 * grid.n * grid.n:
-        raise ValueError("truncated field file: wrong payload size")
+        data = fh.read()
+    if n < 1 or len(data) != 16 * n * n:
+        raise ValueError(
+            f"corrupt field file: {len(data)} payload bytes do not hold {n}x{n} complex samples"
+        )
+    grid = Grid(half_width, int(n))
+    if abs(stagger - grid.stagger) > 1e-12 * grid.spacing:
+        raise ValueError(
+            f"corrupt field file: stagger {stagger} inconsistent with grid spacing {grid.spacing}"
+        )
+    payload = np.frombuffer(data, dtype="<f8")
     values = (payload[0::2] + 1j * payload[1::2]).reshape(grid.n, grid.n)
     nz = np.abs(values) > 0
     if nz.any():

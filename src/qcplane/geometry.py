@@ -15,6 +15,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .field import BeltramiCoefficient, ComplexField, Grid
+from .transforms import _FD_WEIGHTS
 
 __all__ = [
     "MapEvaluator",
@@ -231,27 +232,6 @@ def _node_weights(trace: CurveTrace) -> np.ndarray:
     return ds
 
 
-def _cauchy_matvec(gamma: np.ndarray, sqrt_ds: np.ndarray, vec: np.ndarray, adjoint: bool) -> np.ndarray:
-    """Apply the symmetrized PV Cauchy matrix (or its adjoint) without
-    materializing it: A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i)."""
-    m = gamma.size
-    u = sqrt_ds * vec
-    out = np.empty(m, dtype=complex)
-    chunk = max(1, int(4_000_000 // m))
-    for start in range(0, m, chunk):
-        rows = gamma[start : start + chunk, None]
-        diff = gamma[None, :] - rows
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = 1.0 / diff
-        kern[:, start : start + chunk][np.eye(min(chunk, m - start), dtype=bool)] = 0.0
-        if adjoint:
-            out[start : start + chunk] = np.conj(kern) @ u
-        else:
-            out[start : start + chunk] = kern @ u
-    scale = 1.0 / (2j * np.pi)
-    return (np.conj(scale) if adjoint else scale) * sqrt_ds * out
-
-
 def curve_cauchy_operator(
     trace: CurveTrace, tol: float = 1e-4, max_iter: int = 300, seed: int = 0
 ) -> float:
@@ -259,8 +239,17 @@ def curve_cauchy_operator(
 
     The matrix M_ij = (1/2 pi i) ds_j/(gamma_j - gamma_i), i != j, acts
     on the arclength-weighted l^2 space; conjugating by sqrt(ds) makes
-    it an ordinary l^2 operator whose top singular value is estimated by
-    power iteration on M*M.
+    it the ordinary l^2 matrix
+
+        A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i),  A_ii = 0,
+
+    whose top singular value is estimated by power iteration on A*A.
+
+    A is built in place once per call and reused by every matvec: one
+    dense complex m x m array, 16 m^2 bytes (4 MiB at 512 points,
+    64 MiB at the pipeline's 2048-point cap, 256 MiB at 4096).  A is
+    skew-symmetric (A_ji = -A_ij), so the adjoint is applied as
+    A* w = -conj(A conj(w)), with no second matrix.
 
     Raises
     ------
@@ -270,15 +259,23 @@ def curve_cauchy_operator(
     gamma = trace.points
     if np.unique(gamma).size != gamma.size:
         raise ValueError("coincident trace points")
+    m = gamma.size
     sqrt_ds = np.sqrt(_node_weights(trace))
+    kern = np.empty((m, m), dtype=complex)
+    np.subtract(gamma[None, :], gamma[:, None], out=kern)
+    np.fill_diagonal(kern, 1.0)
+    np.reciprocal(kern, out=kern)
+    np.fill_diagonal(kern, 0.0)
+    kern *= sqrt_ds[:, None] / (2j * np.pi)
+    kern *= sqrt_ds[None, :]
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(gamma.size) + 1j * rng.standard_normal(gamma.size)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
     for _ in range(max_iter):
-        w = _cauchy_matvec(gamma, sqrt_ds, v, adjoint=False)
+        w = kern @ v
         lam = float(np.vdot(w, w).real)
-        v = _cauchy_matvec(gamma, sqrt_ds, w, adjoint=True)
+        v = -np.conj(kern @ np.conj(w))
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return 0.0
@@ -403,14 +400,6 @@ def ba_extension(f, gl_order: int = 64) -> MapEvaluator:
     return MapEvaluator(evaluate, provenance="extension", notes=note)
 
 
-# Antisymmetric first-derivative weights for offsets 1..p at order 2p.
-_WIRTINGER_COEFFS = {
-    2: (0.5,),
-    4: (2.0 / 3.0, -1.0 / 12.0),
-    6: (0.75, -3.0 / 20.0, 1.0 / 60.0),
-}
-
-
 def fd_wirtinger(
     rho: MapEvaluator, points: np.ndarray, steps: np.ndarray, order: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -420,13 +409,13 @@ def fd_wirtinger(
     axes; callers whose map is only piecewise smooth must keep that
     reach inside one smooth piece.
     """
-    if order not in _WIRTINGER_COEFFS:
-        raise ValueError(f"order must be one of {sorted(_WIRTINGER_COEFFS)}")
+    if order not in _FD_WEIGHTS:
+        raise ValueError(f"order must be one of {sorted(_FD_WEIGHTS)}")
     points = np.asarray(points, dtype=complex)
     steps = np.broadcast_to(np.asarray(steps, dtype=float), points.shape)
     fx = np.zeros(points.shape, dtype=complex)
     fy = np.zeros(points.shape, dtype=complex)
-    for m, c in enumerate(_WIRTINGER_COEFFS[order], start=1):
+    for m, c in enumerate(_FD_WEIGHTS[order], start=1):
         fx += c * (rho(points + m * steps) - rho(points - m * steps))
         fy += c * (rho(points + 1j * m * steps) - rho(points - 1j * m * steps))
     fx /= steps

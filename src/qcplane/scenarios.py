@@ -180,7 +180,10 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
         path = Path(config.mu_file)
         if not path.exists():
             raise ConfigError(f"mu_file does not exist: {path}")
-        mu = BeltramiCoefficient(read_field(path))
+        try:
+            mu = BeltramiCoefficient(read_field(path))
+        except ValueError as exc:
+            raise ConfigError(f"unusable mu_file {path}: {exc}") from exc
         return mu, None
     raise ConfigError(f"unknown scenario kind {config.kind!r}")
 
@@ -291,6 +294,8 @@ def compare_theorem1(
     rows = []
     for i, config in enumerate(configs):
         mu, _ = build_scenario(config)
+        if i == 0:
+            mu0 = mu
         carleson = carleson_norm(carleson_density(mu), "line").norm
         stats = weighted_operator_norm(mu, seed=config.seed)
         op_sq = stats.weighted_norm_estimate**2
@@ -303,7 +308,6 @@ def compare_theorem1(
             }
         )
 
-    mu0, _ = build_scenario(configs[0])
     estimates = []
     for t in t_values:
         stats = weighted_operator_norm(mu0.scaled(t), tol=0.0, max_iter=40, seed=configs[0].seed)

@@ -259,18 +259,19 @@ def cauchy_at_points(f: ComplexField, points: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-_FD_STENCILS = {
-    2: ((1,), (0.5,)),
-    4: ((1, 2), (2.0 / 3.0, -1.0 / 12.0)),
-    6: ((1, 2, 3), (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0)),
+# Antisymmetric centered first-derivative weights for offsets 1..p at
+# order 2p, shared by the grid and the pointwise (Wirtinger) stencils.
+_FD_WEIGHTS = {
+    2: (0.5,),
+    4: (2.0 / 3.0, -1.0 / 12.0),
+    6: (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0),
 }
 
 
 def derivative_fd(values: np.ndarray, spacing: float, axis: int, order: int = 6) -> np.ndarray:
     """Centered periodic finite difference along one axis."""
-    shifts, weights = _FD_STENCILS[order]
     out = np.zeros_like(values, dtype=complex)
-    for s, w in zip(shifts, weights):
+    for s, w in enumerate(_FD_WEIGHTS[order], start=1):
         out += w * (np.roll(values, -s, axis=axis) - np.roll(values, s, axis=axis))
     return out / spacing
 

@@ -4,9 +4,10 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from qcplane import validate_document
+from qcplane import Grid, indicator_ball, validate_document, write_field
 from qcplane.cli import build_parser, main
 
 
@@ -71,6 +72,30 @@ class TestErrorPaths:
         )
         assert code == 2
         assert json.loads(err.strip())["error"] == "config"
+
+    def _run_custom_file(self, tmp_path, path):
+        return run_cli(
+            ["run", "--scenario", "custom-file", "--mu-file", str(path), "--out", str(tmp_path)]
+        )
+
+    def test_random_bytes_custom_file_exit_two(self, tmp_path):
+        path = tmp_path / "noise.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(4000))
+        code, _, err = self._run_custom_file(tmp_path, path)
+        assert code == 2
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "corrupt field file" in doc["message"]
+
+    def test_out_of_range_custom_file_exit_two(self, tmp_path):
+        ball = indicator_ball(Grid(8.0, 64), 2j, 1.0)
+        path = tmp_path / "mu.bin"
+        write_field(ball.with_values(1.5 * ball.values, ball.support_radius), path)
+        code, _, err = self._run_custom_file(tmp_path, path)
+        assert code == 2
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "sup norm 1.5" in doc["message"]
 
     def test_non_convergence_exit_three(self, tmp_path):
         # unreachable tolerance: the solver stalls at the floating-point floor

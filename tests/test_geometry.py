@@ -3,6 +3,8 @@ boundary-map extension, and the closed-form sector map."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcplane as q
 
@@ -11,6 +13,13 @@ import qcplane as q
 # all centers, identical radius family).
 SIN_CHORD_ARC_DENSE = 1.02386925
 SIN_REGULARITY_DENSE = 2.04511359
+
+# Frozen default-tolerance curve_cauchy_operator estimates on sin_trace(512)
+# and on the straight line over [-20, 20] with 1024 points.  They pin the
+# iteration itself (seeded start vector, stopping rule), which a change of
+# matvec arithmetic may move only by rounding.
+SIN_CAUCHY_ESTIMATE = 0.510494023974127
+LINE_CAUCHY_ESTIMATE = 0.49693650789607136
 
 
 def sin_trace(m, scale=1.0):
@@ -93,6 +102,36 @@ class TestCurveCauchyOperator:
         pts[10] = pts[11]
         with pytest.raises(ValueError):
             q.curve_cauchy_operator(q.CurveTrace(t, pts))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(64, 256),
+        a=st.floats(0.0, 0.5),
+        k=st.integers(1, 4),
+    )
+    def test_matches_dense_two_norm(self, m, a, k):
+        t = np.linspace(-2 * np.pi, 2 * np.pi, m)
+        gamma = t + 1j * a * np.sin(k * t)
+        tr = q.CurveTrace(t, gamma)
+        # A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i), A_ii = 0,
+        # with midpoint arclength weights ds
+        seg = np.abs(np.diff(gamma))
+        ds = 0.5 * (np.concatenate([[0.0], seg]) + np.concatenate([seg, [0.0]]))
+        diff = gamma[None, :] - gamma[:, None]
+        np.fill_diagonal(diff, 1.0)
+        dense = np.sqrt(np.outer(ds, ds)) / (2j * np.pi * diff)
+        np.fill_diagonal(dense, 0.0)
+        ref = np.linalg.norm(dense, 2)
+        est = q.curve_cauchy_operator(tr, tol=1e-12, max_iter=5000)
+        assert abs(est / ref - 1.0) <= 1e-6
+        assert est <= ref * (1.0 + 1e-9)
+
+    def test_frozen_default_estimates(self):
+        sin_est = q.curve_cauchy_operator(sin_trace(512))
+        t = np.linspace(-20.0, 20.0, 1024)
+        line_est = q.curve_cauchy_operator(q.CurveTrace(t, t.astype(complex)))
+        assert abs(sin_est / SIN_CAUCHY_ESTIMATE - 1.0) <= 1e-12
+        assert abs(line_est / LINE_CAUCHY_ESTIMATE - 1.0) <= 1e-12
 
 
 class TestRegularity:
