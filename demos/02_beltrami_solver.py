@@ -41,5 +41,5 @@ print(f"traced curve: length {trace.total_length():.6f} over [-8, 8], "
 stats = q.weighted_operator_norm(mu)
 bound = q.inverse_weighted_bound(mu)
 print(f"weighted operator norm of mu S: {stats.weighted_norm_estimate:.4f} "
-      f"({stats.iteration_count} power iterations)")
+      f"({stats.iteration_count} Lanczos steps)")
 print(f"empirical inverse bound c1: {bound.probe_c1_estimate:.4f}")

@@ -3,7 +3,7 @@
 The Neumann series h = sum (mu S)^k Phi converges geometrically because
 S is an isometry and the dilatation satisfies |mu| <= sup_bound < 1.
 On top of the solver sit the diagnostics: the operator norm of mu S on
-the weighted space L^2(dm/|y|) by power iteration, and the empirical
+the weighted space L^2(dm/|y|) by Lanczos iteration, and the empirical
 invertibility constant c1 measured over a probe family.
 """
 
@@ -20,6 +20,7 @@ from .geometry import MapEvaluator
 from .transforms import (
     LineFunction,
     SpectralPlan,
+    _lanczos_top,
     _nonzero_rows,
     cauchy_at_points,
     cauchy_line_derivative,
@@ -226,10 +227,6 @@ def solve_beltrami(
     )
 
 
-def _weighted_norm_sq(values: np.ndarray, inv_y: np.ndarray, area: float) -> float:
-    return float(area * (np.abs(values) ** 2 * inv_y).sum())
-
-
 def weighted_operator_norm(
     mu: BeltramiCoefficient,
     tol: float = 1e-6,
@@ -238,28 +235,34 @@ def weighted_operator_norm(
     seed: int = 0,
     initial: ComplexField | None = None,
 ) -> OperatorStats:
-    """Norm estimate of A = mu S on L^2(dm/|y|) by power iteration on A*A.
+    """Norm estimate of A = mu S on L^2(dm/|y|) by Lanczos on A*A.
 
     The adjoint in the weighted inner product is
-    A* g = |y| S*(conj(mu) g / |y|).  Rayleigh quotients lambda_k =
-    ||A v_k||_w^2 are recorded; they are nondecreasing in exact
-    arithmetic.  With ``tol = 0`` exactly ``max_iter`` iterations run,
-    which makes scaling comparisons deterministic.  ``initial``
-    overrides the seeded start vector, which lets symmetry checks run
-    unitarily equivalent iterations.
+    A* g = |y| S*(conj(mu) g / |y|), so A*A is self-adjoint there.  The
+    top Ritz values theta_k of A*A are recorded; they are nondecreasing
+    by interlacing.  ``tol`` bounds the relative Ritz residual
+    ||A*A y - theta y||_w / theta; with ``tol = 0`` exactly ``max_iter``
+    steps run, which makes scaling comparisons deterministic.  The
+    iteration holds three n x n vectors.  ``initial`` overrides the
+    seeded start vector, which lets symmetry checks run unitarily
+    equivalent iterations.
 
     Returns
     -------
     OperatorStats
-        weighted_norm_estimate = sqrt(top Rayleigh quotient).
+        weighted_norm_estimate = sqrt(top Ritz value),
+        rayleigh_history = the Ritz values, iteration_count = Lanczos
+        steps, relative_change_at_stop = |theta_k - theta_{k-1}| / theta_k.
     """
     if plan is None:
         plan = plan_for(mu.grid)
     grid = mu.grid
+    mu_vals = mu.field.values
+    if not mu_vals.any():
+        return OperatorStats(0.0, 0, 0.0)
     area = grid.cell_area()
     abs_y = np.abs(grid.y)[None, :]
     inv_y = 1.0 / abs_y
-    mu_vals = mu.field.values
     mu_conj = np.conj(mu_vals)
     rows = _nonzero_rows(mu_vals)
 
@@ -270,33 +273,23 @@ def weighted_operator_norm(
     else:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    v = v / np.sqrt(_weighted_norm_sq(v, inv_y, area))
 
-    history: list[float] = []
-    rel_change = np.inf
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
+    def apply(v: np.ndarray) -> np.ndarray:
         av = mu_vals * plan.apply(v, plan.multiplier_s, rows=rows)
-        lam = _weighted_norm_sq(av, inv_y, area)
-        history.append(lam)
-        if lam == 0.0:
-            return OperatorStats(0.0, iterations, 0.0, rayleigh_history=history)
-        bv = abs_y * plan.apply(mu_conj * av * inv_y, plan.multiplier_s_star)
-        scale = np.sqrt(_weighted_norm_sq(bv, inv_y, area))
-        if scale == 0.0:
-            return OperatorStats(0.0, iterations, 0.0, rayleigh_history=history)
-        v = bv / scale
-        if len(history) >= 2:
-            rel_change = abs(history[-1] - history[-2]) / history[-1]
-            if tol > 0 and rel_change <= tol:
-                break
+        return abs_y * plan.apply(mu_conj * av * inv_y, plan.multiplier_s_star)
+
+    def inner(u: np.ndarray, v: np.ndarray) -> complex:
+        return area * np.vdot(u * inv_y, v)
+
+    history, residual = _lanczos_top(apply, inner, v, tol, max_iter)
+    theta = history[-1]
+    rel_change = abs(theta - history[-2]) / theta if len(history) >= 2 else 0.0
     return OperatorStats(
-        weighted_norm_estimate=float(np.sqrt(history[-1])),
-        iteration_count=iterations,
-        relative_change_at_stop=float(rel_change if np.isfinite(rel_change) else 0.0),
+        weighted_norm_estimate=float(np.sqrt(theta)),
+        iteration_count=len(history),
+        relative_change_at_stop=float(rel_change),
         rayleigh_history=history,
-        converged=bool(tol <= 0 or rel_change <= tol),
+        converged=bool(tol <= 0 or residual <= tol),
     )
 
 

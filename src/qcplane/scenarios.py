@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib.resources import files as _resource_files
 from pathlib import Path
@@ -188,6 +188,14 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
     raise ConfigError(f"unknown scenario kind {config.kind!r}")
 
 
+def _as_run(config: ScenarioConfig, grid: Grid) -> ScenarioConfig:
+    """The config to record: a custom-file scenario runs on the file's grid,
+    not on ``grid_n``/``grid_l``."""
+    if config.kind == "custom-file":
+        return replace(config, grid_n=grid.n, grid_l=grid.half_width)
+    return config
+
+
 def _dbar_field_of(rho: MapEvaluator, grid: Grid) -> ComplexField:
     if rho.dbar_field is not None and rho.dbar_field.grid == grid:
         return rho.dbar_field
@@ -230,31 +238,33 @@ def _mu_summary(mu: BeltramiCoefficient) -> dict:
 def run_scenario(config: ScenarioConfig) -> dict:
     """Full diagnostic pipeline; writes report.json, trace.csv, mu.bin.
 
-    Raises NonConvergenceError after writing a partial report flagged
+    The top-level ``converged`` is the AND of the weighted norm's, the
+    probe solves' and, when it ran, the solver's flags.  Raises
+    NonConvergenceError after writing a partial report flagged
     ``converged: false`` if the solver stalls.
     """
     config.validate()
     out = _resolve_out(config)
     mu, rho = build_scenario(config)
     grid = mu.grid
+    recorded = _as_run(config, grid)
 
     report: dict = {
         "document": "scenario-report",
-        "config": config.canonical_dict(),
-        "config_hash": config.config_hash(),
+        "config": recorded.canonical_dict(),
+        "config_hash": recorded.config_hash(),
         "grid": {"half_width": grid.half_width, "n": grid.n, "spacing": grid.spacing},
         "mu": _mu_summary(mu),
-        "converged": True,
     }
     write_field(mu.field, out / "mu.bin")
     report["artifacts"] = {"mu_field": "mu.bin", "trace_csv": "trace.csv"}
 
     density = carleson_density(mu)
     report["carleson"] = carleson_norm(density, "line").to_json_dict()
-    report["operator"] = weighted_operator_norm(mu, seed=config.seed).to_json_dict()
-    report["invertibility"] = inverse_weighted_bound(
-        mu, tol=config.tol, max_iter=config.max_iter
-    ).to_json_dict()
+    operator = weighted_operator_norm(mu, seed=config.seed)
+    invertibility = inverse_weighted_bound(mu, tol=config.tol, max_iter=config.max_iter)
+    report["operator"] = operator.to_json_dict()
+    report["invertibility"] = invertibility.to_json_dict()
 
     try:
         if rho is None:
@@ -267,6 +277,11 @@ def run_scenario(config: ScenarioConfig) -> dict:
         raise
     report["map_provenance"] = rho.provenance
     report["solver"] = rho.report.to_json_dict() if rho.report is not None else None
+    report["converged"] = (
+        operator.converged
+        and invertibility.converged
+        and (rho.report is None or rho.report.converged)
+    )
 
     trace = trace_curve(rho, grid.half_width, config.trace_samples)
     trace.to_csv(out / "trace.csv")
@@ -347,13 +362,15 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     constant) and the rectifiability pair (weighted energy, relative
     trace-length change under sample doubling).  The sector-map scenario
     carries a non-bilipschitz flag with the measured boundary blowup
-    exponent.
+    exponent.  ``converged`` is the AND of the probe solves' flags; a
+    stalled Beltrami solve raises NonConvergenceError instead.
     """
     config.validate()
     mu, rho = build_scenario(config)
     grid = mu.grid
+    recorded = _as_run(config, grid)
     carleson = carleson_norm(carleson_density(mu), "line").norm
-    c1 = inverse_weighted_bound(mu, tol=config.tol, max_iter=config.max_iter).probe_c1_estimate
+    probes = inverse_weighted_bound(mu, tol=config.tol, max_iter=config.max_iter)
     if rho is None:
         rho = solve_beltrami(mu, tol=config.tol, max_iter=config.max_iter)
     trace = trace_curve(rho, grid.half_width, config.trace_samples)
@@ -368,16 +385,16 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
         blowup = bilipschitz_profile(rho, _blowup_pairs(grid.half_width)).blowup_exponent
     summary = {
         "document": "theorem2-summary",
-        "config": config.canonical_dict(),
-        "config_hash": config.config_hash(),
+        "config": recorded.canonical_dict(),
+        "config_hash": recorded.config_hash(),
         "carleson_norm": carleson,
-        "c1_estimate": c1,
+        "c1_estimate": probes.probe_c1_estimate,
         "chord_arc_constant": chord_arc.constant,
         "energy": energy,
         "trace_refinement_delta": delta,
         "non_bilipschitz": config.kind == "prop2",
         "blowup_exponent": blowup,
-        "converged": True,
+        "converged": probes.converged,
     }
     if out_path is not None:
         out_path = Path(out_path)

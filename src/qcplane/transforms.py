@@ -21,6 +21,7 @@ import threading
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import sici
 
 from .field import ComplexField, Grid
@@ -137,6 +138,63 @@ def _nonzero_rows(values: np.ndarray) -> slice:
     """Smallest row slice holding every nonzero entry of ``values``."""
     idx = np.flatnonzero(np.any(values, axis=1))
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def _lanczos_top(
+    apply, inner, start: np.ndarray, tol: float, max_iter: int
+) -> tuple[list[float], float]:
+    """Top eigenvalue of a self-adjoint positive operator by Lanczos (1950).
+
+    ``apply(v)`` returns the operator's image of ``v`` as a fresh array
+    (A*A v, when the top singular value of A is wanted), and
+    ``inner(u, v)``, conjugate-linear in ``u``, is the inner product in
+    which the operator is self-adjoint.  The plain three-term recurrence
+    keeps three vectors (v_prev, v, w) and no basis: without
+    reorthogonalization the extreme Ritz value still converges reliably
+    (Paige 1976, 1980).
+
+    Step k takes the top eigenpair (theta_k, s_k) of the k x k
+    tridiagonal T_k by bisection and inverse iteration, which cost O(k)
+    where a dense eigensolver costs O(k^3).  The iteration stops once
+    the relative Ritz residual beta_k |s_k[-1]| / theta_k, which equals
+    ||A*A y - theta_k y|| / theta_k for the Ritz vector y, is at most
+    ``tol``.  With ``tol = 0`` it runs exactly ``max_iter`` steps unless
+    beta_k = 0 (an exact invariant subspace) ends it earlier.
+
+    Returns
+    -------
+    (history, residual) : (list[float], float)
+        theta_k after each step, nondecreasing by interlacing:
+        ``history[-1]`` is the estimate and ``len(history)`` the step
+        count.  ``residual`` is the relative Ritz residual of the last step.
+    """
+    v = start / np.sqrt(inner(start, start).real)
+    v_prev = None
+    alphas: list[float] = []
+    betas: list[float] = []
+    history: list[float] = []
+    residual = np.inf
+    for _ in range(max_iter):
+        w = apply(v)
+        if v_prev is not None:
+            w -= betas[-1] * v_prev
+        alpha = float(inner(v, w).real)
+        w -= alpha * v
+        beta = float(np.sqrt(inner(w, w).real))
+        alphas.append(alpha)
+        k = len(alphas)
+        top, vec = eigh_tridiagonal(alphas, betas, select="i", select_range=(k - 1, k - 1))
+        theta = float(top[0])
+        history.append(theta)
+        if theta > 0:
+            residual = beta * abs(vec[-1, 0]) / theta
+        else:
+            residual = 0.0 if beta == 0.0 else np.inf
+        if beta == 0.0 or (tol > 0 and residual <= tol):
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return history, float(residual)
 
 
 def _check_plan(plan: SpectralPlan, f: ComplexField) -> None:

@@ -179,6 +179,35 @@ class TestWeightedOperatorNorm:
         assert doc["weighted_norm_estimate"] == stats.weighted_norm_estimate
         assert len(stats.rayleigh_history) == stats.iteration_count
 
+    def test_matches_dense_top_singular_value(self):
+        grid = q.Grid(8.0, 32)
+        ball = q.indicator_ball(grid, 3j, 2.0, mollify_width=0.5)
+        mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values, ball.support_radius))
+        stats = q.weighted_operator_norm(mu)
+        assert stats.converged
+        # B = W^1/2 mu S W^-1/2 with W = 1/|y| is A in orthonormal
+        # coordinates; built column by column from the padded apply
+        plan = q.plan_for(grid)
+        sqrt_w = np.broadcast_to(1.0 / np.sqrt(np.abs(grid.y))[None, :], (32, 32))
+        dense = np.empty((32 * 32, 32 * 32), dtype=complex)
+        unit = np.zeros((32, 32), dtype=complex)
+        for j in range(32 * 32):
+            unit.flat[j] = 1.0 / sqrt_w.flat[j]
+            dense[:, j] = (sqrt_w * mu.field.values * plan.apply(unit, plan.multiplier_s)).ravel()
+            unit.flat[j] = 0.0
+        ref = np.linalg.norm(dense, 2)
+        assert abs(stats.weighted_norm_estimate / ref - 1.0) <= 1e-9
+
+    def test_estimate_independent_of_seed(self, mu_half):
+        # the power iteration this replaced moved by 1e-5 to 1.7e-4
+        # between start vectors at its 80-iteration cap
+        ests = [q.weighted_operator_norm(mu_half, seed=s).weighted_norm_estimate for s in range(5)]
+        assert max(ests) - min(ests) <= 1e-9 * max(ests)
+
+    def test_mu_zero_is_zero(self, mu_zero):
+        stats = q.weighted_operator_norm(mu_zero)
+        assert stats.weighted_norm_estimate == 0.0 and stats.converged
+
 
 class TestInverseWeightedBound:
     def test_identity_at_mu_zero(self, mu_zero):

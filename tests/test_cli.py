@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, artifacts, schema validation."""
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+import qcplane.scenarios
 from qcplane import Grid, indicator_ball, validate_document, write_field
 from qcplane.cli import build_parser, main
 
@@ -45,9 +48,52 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         validate_document(report)
         assert report["converged"] is True
+        assert report["operator"]["converged"] is True
         assert report["config"]["grid_n"] == 64
         assert "report written to" in out
         assert "chord_arc=" in out
+
+    def test_unconverged_operator_clears_top_level_flag(self, tmp_path, monkeypatch):
+        real = qcplane.scenarios.weighted_operator_norm
+
+        def unconverged(mu, **kwargs):
+            return dataclasses.replace(real(mu, **kwargs), converged=False)
+
+        monkeypatch.setattr(qcplane.scenarios, "weighted_operator_norm", unconverged)
+        code, _, _ = run_cli(
+            ["run", "--scenario", "ball", "--grid-n", "64", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["operator"]["converged"] is False
+        assert report["invertibility"]["converged"] is True
+        assert report["converged"] is False
+
+    def test_custom_file_records_the_file_grid(self, tmp_path):
+        ball = indicator_ball(Grid(8.0, 64), 3j, 1.5)
+        path = tmp_path / "mu.bin"
+        write_field(ball.with_values(0.3 * ball.values, ball.support_radius), path)
+        code, _, _ = run_cli(
+            [
+                "run",
+                "--scenario",
+                "custom-file",
+                "--mu-file",
+                str(path),
+                "--grid-n",
+                "256",
+                "--grid-l",
+                "4",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["grid_n"] == report["grid"]["n"] == 64
+        assert report["config"]["grid_l"] == report["grid"]["half_width"] == 8.0
+        blob = json.dumps(report["config"], sort_keys=True).encode()
+        assert report["config_hash"] == hashlib.sha256(blob).hexdigest()
 
 
 class TestErrorPaths:
@@ -152,4 +198,19 @@ class TestTheorem2:
         validate_document(summary)
         assert summary["non_bilipschitz"] is True
         assert summary["blowup_exponent"] == pytest.approx(-1.0 / 3.0, abs=0.05)
+        assert summary["converged"] is True
         assert "chord_arc=" in out
+
+    def test_unconverged_probes_clear_flag(self, tmp_path, monkeypatch):
+        real = qcplane.scenarios.inverse_weighted_bound
+
+        def unconverged(mu, **kwargs):
+            return dataclasses.replace(real(mu, **kwargs), converged=False)
+
+        monkeypatch.setattr(qcplane.scenarios, "inverse_weighted_bound", unconverged)
+        code, _, _ = run_cli(
+            ["theorem2", "--scenario", "prop2", "--grid-n", "64", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "theorem2.json").read_text())
+        assert summary["converged"] is False

@@ -16,15 +16,28 @@ SIN_REGULARITY_DENSE = 2.04511359
 
 # Frozen default-tolerance curve_cauchy_operator estimates on sin_trace(512)
 # and on the straight line over [-20, 20] with 1024 points.  They pin the
-# iteration itself (seeded start vector, stopping rule), which a change of
-# matvec arithmetic may move only by rounding.
-SIN_CAUCHY_ESTIMATE = 0.510494023974127
-LINE_CAUCHY_ESTIMATE = 0.49693650789607136
+# Lanczos iteration itself (seeded start vector, relative Ritz residual
+# stopping rule at tol 1e-4), which a change of matvec arithmetic may move
+# only by rounding; both lie within 1e-6 of the dense 2-norm.
+SIN_CAUCHY_ESTIMATE = 0.5106431335543907
+LINE_CAUCHY_ESTIMATE = 0.49828981145863005
 
 
 def sin_trace(m, scale=1.0):
     t = np.linspace(-2 * np.pi, 2 * np.pi, m)
     return q.CurveTrace(t, scale * (t + 0.3j * np.sin(t)))
+
+
+def dense_cauchy_norm(gamma):
+    """2-norm of A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i), A_ii = 0,
+    with midpoint arclength weights ds."""
+    seg = np.abs(np.diff(gamma))
+    ds = 0.5 * (np.concatenate([[0.0], seg]) + np.concatenate([seg, [0.0]]))
+    diff = gamma[None, :] - gamma[:, None]
+    np.fill_diagonal(diff, 1.0)
+    dense = np.sqrt(np.outer(ds, ds)) / (2j * np.pi * diff)
+    np.fill_diagonal(dense, 0.0)
+    return np.linalg.norm(dense, 2)
 
 
 class TestCurveTrace:
@@ -112,26 +125,21 @@ class TestCurveCauchyOperator:
     def test_matches_dense_two_norm(self, m, a, k):
         t = np.linspace(-2 * np.pi, 2 * np.pi, m)
         gamma = t + 1j * a * np.sin(k * t)
-        tr = q.CurveTrace(t, gamma)
-        # A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i), A_ii = 0,
-        # with midpoint arclength weights ds
-        seg = np.abs(np.diff(gamma))
-        ds = 0.5 * (np.concatenate([[0.0], seg]) + np.concatenate([seg, [0.0]]))
-        diff = gamma[None, :] - gamma[:, None]
-        np.fill_diagonal(diff, 1.0)
-        dense = np.sqrt(np.outer(ds, ds)) / (2j * np.pi * diff)
-        np.fill_diagonal(dense, 0.0)
-        ref = np.linalg.norm(dense, 2)
-        est = q.curve_cauchy_operator(tr, tol=1e-12, max_iter=5000)
+        ref = dense_cauchy_norm(gamma)
+        est = q.curve_cauchy_operator(q.CurveTrace(t, gamma), tol=1e-12, max_iter=5000)
         assert abs(est / ref - 1.0) <= 1e-6
         assert est <= ref * (1.0 + 1e-9)
 
     def test_frozen_default_estimates(self):
-        sin_est = q.curve_cauchy_operator(sin_trace(512))
+        sin = sin_trace(512)
+        sin_est = q.curve_cauchy_operator(sin)
         t = np.linspace(-20.0, 20.0, 1024)
-        line_est = q.curve_cauchy_operator(q.CurveTrace(t, t.astype(complex)))
+        line = q.CurveTrace(t, t.astype(complex))
+        line_est = q.curve_cauchy_operator(line)
         assert abs(sin_est / SIN_CAUCHY_ESTIMATE - 1.0) <= 1e-12
         assert abs(line_est / LINE_CAUCHY_ESTIMATE - 1.0) <= 1e-12
+        assert abs(sin_est - dense_cauchy_norm(sin.points)) <= 1e-6
+        assert abs(line_est - dense_cauchy_norm(line.points)) <= 1e-6
 
 
 class TestRegularity:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from qcplane.transforms import _lanczos_top
 
 TABLES = ("multiplier_s", "multiplier_s_star", "multiplier_t")
 
@@ -140,6 +141,40 @@ class TestPaddedApply:
         assert q.plan_for(self.grid, padding_factor=2) is plan
         assert q.plan_for(q.Grid(4.0, 32), np.int64(2)) is plan
         assert q.plan_for(self.grid, 1) is not plan
+
+
+class TestLanczosTop:
+    """The shared top-singular-value engine on dense A*A."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(4, 48), budget=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_two_norm(self, m, budget, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        start = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        ref = np.linalg.norm(a, 2)
+
+        def apply(v):
+            return a.conj().T @ (a @ v)
+
+        history, residual = _lanczos_top(apply, np.vdot, start, 1e-12, 4 * m)
+        assert residual <= 1e-12
+        est = np.sqrt(history[-1])
+        assert abs(est / ref - 1.0) <= 1e-10
+        assert est <= ref * (1.0 + 1e-9)
+        assert all(y >= x * (1.0 - 1e-12) for x, y in zip(history, history[1:]))
+
+        # fixed budget: exactly `budget` steps, also past the dimension m,
+        # unless the recurrence breaks down (residual exactly 0)
+        history, residual = _lanczos_top(apply, np.vdot, start, 0.0, budget)
+        assert len(history) == budget or residual == 0.0
+        assert np.sqrt(history[-1]) <= ref * (1.0 + 1e-9)
+        assert all(y >= x * (1.0 - 1e-12) for x, y in zip(history, history[1:]))
+
+    def test_zero_operator_breaks_down(self):
+        start = np.ones(8, dtype=complex)
+        history, residual = _lanczos_top(np.zeros_like, np.vdot, start, 0.0, 50)
+        assert history == [0.0] and residual == 0.0
 
 
 class TestBeurling:
