@@ -9,8 +9,6 @@ invertibility constant c1 measured over a probe family.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -21,7 +19,8 @@ from .transforms import (
     LineFunction,
     SpectralPlan,
     _lanczos_top,
-    _nonzero_rows,
+    _LRUCache,
+    _nonzero_box,
     cauchy_at_points,
     cauchy_line_derivative,
     cauchy_plane,
@@ -46,9 +45,7 @@ class NonConvergenceError(RuntimeError):
     """A solve did not reach its tolerance within the iteration budget."""
 
 
-_PLAN_CACHE_SIZE = 8
-_plans: OrderedDict[tuple[Grid, int], SpectralPlan] = OrderedDict()
-_plans_lock = threading.Lock()
+_plans = _LRUCache(8)
 
 
 def plan_for(grid: Grid, padding_factor: int = 2) -> SpectralPlan:
@@ -56,19 +53,11 @@ def plan_for(grid: Grid, padding_factor: int = 2) -> SpectralPlan:
 
     The cache key is the pair (grid, padding_factor) however it is
     spelled, so ``plan_for(g)``, ``plan_for(g, 2)`` and
-    ``plan_for(g, padding_factor=2)`` return one plan and one workspace.
-    Plans are safe to share across threads, so caching is safe.
+    ``plan_for(g, padding_factor=2)`` return one plan, with one set of
+    kernel and window caches.  Plans are safe to share across threads,
+    so caching is safe.
     """
-    key = (grid, padding_factor)
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is None:
-            plan = _plans[key] = SpectralPlan(grid, padding_factor)
-            if len(_plans) > _PLAN_CACHE_SIZE:
-                _plans.popitem(last=False)
-        else:
-            _plans.move_to_end(key)
-    return plan
+    return _plans.get((grid, padding_factor), lambda: SpectralPlan(grid, padding_factor))
 
 
 def _field_summary(f: ComplexField) -> dict:
@@ -163,8 +152,8 @@ def neumann_solve(
     support = max(mu.support_radius, phi.support_radius)
     area = mu.grid.cell_area()
     mu_vals = mu.field.values
-    # mu S h is needed only on mu's rows, so S h is computed only there
-    rows = _nonzero_rows(mu_vals)
+    # mu S h is needed only on mu's box, so S h is computed only there
+    rows, cols = _nonzero_box(mu_vals)
 
     h = phi.values.copy()
     history: list[float] = []
@@ -172,7 +161,7 @@ def neumann_solve(
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        step = phi.values + mu_vals * plan.apply(h, plan.multiplier_s, rows=rows)
+        step = phi.values + mu_vals * plan.apply(h, plan.multiplier_s, rows=rows, cols=cols)
         residual = float(np.sqrt(area * (np.abs(step - h) ** 2).sum()))
         history.append(residual)
         h = step
@@ -264,7 +253,7 @@ def weighted_operator_norm(
     abs_y = np.abs(grid.y)[None, :]
     inv_y = 1.0 / abs_y
     mu_conj = np.conj(mu_vals)
-    rows = _nonzero_rows(mu_vals)
+    rows, cols = _nonzero_box(mu_vals)
 
     if initial is not None:
         if initial.grid != grid:
@@ -275,7 +264,7 @@ def weighted_operator_norm(
         v = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
 
     def apply(v: np.ndarray) -> np.ndarray:
-        av = mu_vals * plan.apply(v, plan.multiplier_s, rows=rows)
+        av = mu_vals * plan.apply(v, plan.multiplier_s, rows=rows, cols=cols)
         return abs_y * plan.apply(mu_conj * av * inv_y, plan.multiplier_s_star)
 
     def inner(u: np.ndarray, v: np.ndarray) -> complex:

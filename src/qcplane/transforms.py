@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import sici
@@ -50,6 +52,42 @@ class SupportViolation(ValueError):
     """A transform precondition on compact support was not met."""
 
 
+class _LRUCache:
+    """A bounded least-recently-used map, safe to share across threads."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, build):
+        """The value stored under ``key``, stored from ``build()`` on a miss.
+
+        ``build`` runs outside the lock; if two threads miss at once, the
+        value stored first is the one both get.
+        """
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        return value
+
+
+# Holds every (table, input box, output box) key of one pipeline run
+# (12 for the default ball: the solve, the probes and both steps of the
+# weighted norm), so repeated runs on one plan rebuild no window.
+_WINDOW_CACHE_SIZE = 16
+
+
 class SpectralPlan:
     """Cached multiplier tables for S, S*, T on a padded frequency lattice.
 
@@ -68,16 +106,25 @@ class SpectralPlan:
     fixes T's additive constant (mean-zero gauge).  |m_S| = 1 at every
     other lattice point.
 
-    A padded apply is a pruned 2-D FFT (Frigo & Johnson 2005): the
-    forward row transforms run only over the input's nonzero row span,
-    since zero rows transform to zero, and the inverse row transforms
-    only over the output rows that are kept.  It works in place in a
-    (factor*n)^2 complex workspace, allocated on first use and reused,
-    so an apply touches no fresh pages besides its n x n result.  The
-    workspace costs 16 (factor*n)^2 bytes per plan and thread: 1 MiB at
-    n = 128 and 16 MiB at n = 512 with the default factor.  The tables
-    are read-only and each thread gets its own workspace, so a plan is
-    safe to share across threads.
+    A padded apply is the (factor*n)-periodic convolution with the
+    kernel kappa = ifft2(table).  Two cells of the n x n box differ by
+    less than n in each index, so no offset aliases, and an apply needs
+    kappa only at the offsets O - I between the output box O
+    (``rows`` x ``cols``) and the input's nonzero box I.  It is an exact
+    overlap-save convolution (Stockham 1966) of the input box with that
+    window of kappa, in FFTs of ``next_fast_len(|O| + |I| - 1)`` points
+    per axis: the same linear map as the full padded product, up to
+    rounding, whatever the boxes.
+
+    kappa is built on first use, once per table: 16 (factor*n)^2 bytes,
+    1 MiB at n = 128 and 16 MiB at n = 512 with the default factor.  The
+    window transforms live in a least-recently-used cache of
+    ``_WINDOW_CACHE_SIZE`` entries keyed on (table, I, O).  An entry
+    holds at most 16 next_fast_len(2n - 1)^2 bytes (1 MiB at n = 128,
+    16 MiB at n = 512), so the cache holds at most 16 MiB at n = 128 and
+    256 MiB at n = 512; the boxes of a compactly supported mu keep the
+    entries far smaller.  Both caches are locked and their arrays
+    read-only, so a plan is safe to share across threads.
     """
 
     def __init__(self, grid: Grid, padding_factor: int = 2):
@@ -99,45 +146,81 @@ class SpectralPlan:
         self.multiplier_t = m_t
         for table in (self.multiplier_s, self.multiplier_s_star, self.multiplier_t):
             table.setflags(write=False)
-        self._local = threading.local()
+        # kappa for each of the three tables, and the window transforms.
+        # Both caches key a table by its id; each entry holds the table,
+        # so the id cannot be reused while the entry lives.
+        self._kernels = _LRUCache(3)
+        self._windows = _LRUCache(_WINDOW_CACHE_SIZE)
 
-    def apply(self, values: np.ndarray, table: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    def apply(
+        self,
+        values: np.ndarray,
+        table: np.ndarray,
+        rows: slice | None = None,
+        cols: slice | None = None,
+    ) -> np.ndarray:
         """Zero-pad, multiply in frequency, truncate back.
 
-        ``rows`` (padding >= 2 only) selects the output rows to compute;
-        the others come back as zeros.  Callers that multiply the result
-        by a field pass that field's nonzero row span.
+        ``rows`` and ``cols`` (padding >= 2 only) select the output box
+        to compute; entries outside it come back as zeros.  Callers that
+        multiply the result by a field pass that field's nonzero box.
         """
-        n, N, off = self.grid.n, self.n_padded, self.offset
+        n = self.grid.n
         if self.padding_factor == 1:
             return np.fft.ifft2(np.fft.fft2(values) * table)
         out = np.zeros((n, n), dtype=complex)
-        span = _nonzero_rows(values)
-        keep = range(n)[rows if rows is not None else slice(None)]
-        if keep.step != 1:
-            raise ValueError("rows must be a contiguous slice")
-        if span.start == span.stop or not keep:
+        in_r, in_c = _nonzero_box(values)
+        out_r, out_c = _contiguous(n, rows, "rows"), _contiguous(n, cols, "cols")
+        box = (in_r, in_c, out_r, out_c)
+        if any(s.start == s.stop for s in box):
             return out
-        work = getattr(self._local, "workspace", None)
-        if work is None:
-            work = self._local.workspace = np.empty((N, N), dtype=complex)
-        work.fill(0.0)
-        band = work[off + span.start : off + span.stop]
-        band[:, off : off + n] = values[span]
-        np.fft.fft(band, axis=1, out=band)
-        np.fft.fft(work, axis=0, out=work)
-        np.multiply(work, table, out=work)
-        np.fft.ifft(work, axis=0, out=work)
-        band = work[off + keep.start : off + keep.stop]
-        np.fft.ifft(band, axis=1, out=band)
-        out[keep.start : keep.stop] = band[:, off : off + n]
+        window = self._window(table, *box)
+        m_rows, m_cols = window.shape
+        # The strided column transforms run only on the input columns,
+        # before the zero columns are padded in, and on the output
+        # columns, after the row inverse; output cell o sits at
+        # o - out.start + |I| - 1 of the convolution on each axis.
+        r0, c0 = in_r.stop - in_r.start - 1, in_c.stop - in_c.start - 1
+        spec = scipy.fft.fft(values[in_r, in_c], n=m_rows, axis=0)
+        spec = scipy.fft.fft(spec, n=m_cols, axis=1, overwrite_x=True)
+        spec *= window
+        spec = scipy.fft.ifft(spec, axis=1, overwrite_x=True)
+        band = scipy.fft.ifft(spec[:, c0 : c0 + out_c.stop - out_c.start], axis=0, overwrite_x=True)
+        out[out_r, out_c] = band[r0 : r0 + out_r.stop - out_r.start]
         return out
 
+    def _window(self, table, in_r, in_c, out_r, out_c) -> np.ndarray:
+        """FFT of kappa at the offsets out - in, zero-padded to a fast size."""
 
-def _nonzero_rows(values: np.ndarray) -> slice:
-    """Smallest row slice holding every nonzero entry of ``values``."""
-    idx = np.flatnonzero(np.any(values, axis=1))
-    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+        def build():
+            kernel = self._kernels.get(id(table), lambda: (table, np.fft.ifft2(table)))[1]
+            N = self.n_padded
+            r_idx = np.arange(out_r.start - in_r.stop + 1, out_r.stop - in_r.start) % N
+            c_idx = np.arange(out_c.start - in_c.stop + 1, out_c.stop - in_c.start) % N
+            shape = (scipy.fft.next_fast_len(r_idx.size), scipy.fft.next_fast_len(c_idx.size))
+            window = scipy.fft.fft2(kernel[np.ix_(r_idx, c_idx)], s=shape)
+            window.setflags(write=False)
+            return table, window
+
+        key = (id(table), *((s.start, s.stop) for s in (in_r, in_c, out_r, out_c)))
+        return self._windows.get(key, build)[1]
+
+
+def _contiguous(n: int, span: slice | None, name: str) -> slice:
+    """``span`` of range(n) as a unit-step slice with start <= stop."""
+    r = range(n) if span is None else range(n)[span]
+    if r.step != 1:
+        raise ValueError(f"{name} must be a contiguous slice")
+    return slice(r.start, max(r.start, r.stop))
+
+
+def _nonzero_box(values: np.ndarray) -> tuple[slice, slice]:
+    """Smallest (rows, cols) box holding every nonzero entry of ``values``."""
+    spans = []
+    for axis in (1, 0):
+        idx = np.flatnonzero(np.any(values, axis=axis))
+        spans.append(slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0))
+    return spans[0], spans[1]
 
 
 def _lanczos_top(
@@ -334,17 +417,22 @@ def derivative_fd(values: np.ndarray, spacing: float, axis: int, order: int = 6)
     return out / spacing
 
 
-def dbar_fd(f: ComplexField, order: int = 6) -> ComplexField:
-    """Discrete dbar = (d/dx + i d/dy)/2 with periodic wrap."""
+def _fd_partials(f: ComplexField, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic finite-difference partials (d/dx, d/dy) of a field."""
     dx = derivative_fd(f.values, f.grid.spacing, axis=0, order=order)
     dy = derivative_fd(f.values, f.grid.spacing, axis=1, order=order)
+    return dx, dy
+
+
+def dbar_fd(f: ComplexField, order: int = 6) -> ComplexField:
+    """Discrete dbar = (d/dx + i d/dy)/2 with periodic wrap."""
+    dx, dy = _fd_partials(f, order)
     return ComplexField(f.grid, 0.5 * (dx + 1j * dy))
 
 
 def d_fd(f: ComplexField, order: int = 6) -> ComplexField:
     """Discrete d = (d/dx - i d/dy)/2 with periodic wrap."""
-    dx = derivative_fd(f.values, f.grid.spacing, axis=0, order=order)
-    dy = derivative_fd(f.values, f.grid.spacing, axis=1, order=order)
+    dx, dy = _fd_partials(f, order)
     return ComplexField(f.grid, 0.5 * (dx - 1j * dy))
 
 

@@ -96,6 +96,32 @@ class TestRun:
         assert report["config_hash"] == hashlib.sha256(blob).hexdigest()
 
 
+    def test_mu_bin_replay_matches_the_original_run(self, tmp_path):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run_cli(["run", "--scenario", "ball", "--grid-n", "64", "--out", str(first)])[0] == 0
+        argv = ["run", "--scenario", "custom-file", "--mu-file", str(first / "mu.bin"), "--out", str(replay)]
+        assert run_cli(argv)[0] == 0
+        a, b = (json.loads((d / "report.json").read_text()) for d in (first, replay))
+        for key in ("carleson", "operator", "invertibility"):
+            assert_numbers_close(a[key], b[key], 1e-12, key)
+        assert a["solver"]["iterations"] == b["solver"]["iterations"]
+
+
+def assert_numbers_close(a, b, rtol, path):
+    """Same JSON structure, with every number equal to ``rtol`` relative."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_numbers_close(a[key], b[key], rtol, f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_numbers_close(x, y, rtol, f"{path}.{i}")
+    elif isinstance(a, (int, float)) and not isinstance(a, bool):
+        assert b == pytest.approx(a, rel=rtol, abs=0.0), path
+    else:
+        assert a == b, path
+
 class TestErrorPaths:
     def test_config_error_exit_two(self, tmp_path):
         code, _, err = run_cli(

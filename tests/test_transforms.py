@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
-from qcplane.transforms import _lanczos_top
+from qcplane.transforms import _WINDOW_CACHE_SIZE, _lanczos_top
 
 TABLES = ("multiplier_s", "multiplier_s_star", "multiplier_t")
 
@@ -49,40 +49,47 @@ def dense_apply(plan, values, table):
 
 
 @st.composite
-def row_band(draw, n):
+def band(draw, n):
     lo = draw(st.integers(0, n - 1))
     return lo, draw(st.integers(lo + 1, n))
 
 
-def row_slices(n):
+def index_slices(n):
     bound = st.none() | st.integers(-n, n)
     return st.none() | st.builds(slice, bound, bound)
 
 
+def boxed_values(rng, n, rows, cols):
+    """Random values on a rows x cols box whose corners are nonzero."""
+    values = np.zeros((n, n), dtype=complex)
+    (r0, r1), (c0, c1) = rows, cols
+    values[r0:r1, c0:c1] = rng.standard_normal((r1 - r0, c1 - c0)) + 1j * rng.standard_normal((r1 - r0, c1 - c0))
+    values[r0, c0] = values[r1 - 1, c1 - 1] = 1.0  # the box is the nonzero span
+    return values
+
+
 class TestPaddedApply:
-    """The pruned in-place apply against the dense reference path."""
+    """The box-convolution apply against the dense reference path."""
 
     grid = q.Grid(4.0, 32)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         factor=st.sampled_from([2, 3]),
         table=st.sampled_from(TABLES),
-        band=row_band(32),
-        rows=row_slices(32),
+        in_rows=band(32),
+        in_cols=band(32),
+        rows=index_slices(32),
+        cols=index_slices(32),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_reference(self, factor, table, band, rows, seed):
+    def test_matches_dense_reference(self, factor, table, in_rows, in_cols, rows, cols, seed):
         plan = q.plan_for(self.grid, factor)
-        rng = np.random.default_rng(seed)
-        values = np.zeros((32, 32), dtype=complex)
-        lo, hi = band
-        values[lo:hi] = rng.standard_normal((hi - lo, 32)) + 1j * rng.standard_normal((hi - lo, 32))
-        values[lo, rng.integers(32)] = 1.0  # the band's first row is never all zero
+        values = boxed_values(np.random.default_rng(seed), 32, in_rows, in_cols)
+        keep = (slice(None) if rows is None else rows, slice(None) if cols is None else cols)
         ref = np.zeros((32, 32), dtype=complex)
-        keep = slice(None) if rows is None else rows
         ref[keep] = dense_apply(plan, values, getattr(plan, table))[keep]
-        got = plan.apply(values, getattr(plan, table), rows=rows)
+        got = plan.apply(values, getattr(plan, table), rows=rows, cols=cols)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
 
     @pytest.mark.parametrize("table", TABLES)
@@ -96,7 +103,12 @@ class TestPaddedApply:
         with pytest.raises(ValueError):
             plan.apply(np.ones((32, 32)), plan.multiplier_s, rows=slice(0, 32, 2))
 
-    def test_result_not_aliased_to_workspace(self):
+    def test_cols_must_be_contiguous(self):
+        plan = q.plan_for(self.grid)
+        with pytest.raises(ValueError, match="cols"):
+            plan.apply(np.ones((32, 32)), plan.multiplier_s, cols=slice(None, None, -1))
+
+    def test_result_not_aliased_to_cache(self):
         plan = q.plan_for(self.grid)
         rng = np.random.default_rng(1)
         a, b = (rng.standard_normal((32, 32)) + 0j for _ in range(2))
@@ -107,19 +119,42 @@ class TestPaddedApply:
         first[...] = np.nan
         assert np.array_equal(plan.apply(a, plan.multiplier_s), kept)
 
+    def test_window_cache_stays_bounded(self):
+        plan = q.SpectralPlan(self.grid)
+        size = _WINDOW_CACHE_SIZE
+        boxes = [((k, k + 2), (0, 32)) for k in range(size + 5)]
+        first = [plan.apply(boxed_values(np.random.default_rng(k), 32, *box), plan.multiplier_s)
+                 for k, box in enumerate(boxes)]
+        assert len(plan._windows) == size
+        # evicted windows are rebuilt to the same values
+        again = plan.apply(boxed_values(np.random.default_rng(0), 32, *boxes[0]), plan.multiplier_s)
+        assert np.array_equal(again, first[0])
+        assert len(plan._windows) == size
+
     def test_threads_reproduce_serial_results(self):
-        # large enough that the FFTs, which release the GIL, overlap
-        plan = q.plan_for(q.Grid(4.0, 128))
+        # large enough that the FFTs, which release the GIL, overlap; more
+        # distinct boxes than the window cache holds, so threads also race
+        # on building and evicting its entries
+        n = 128
         rng = np.random.default_rng(2)
-        inputs = [rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)) for _ in range(20)]
-        serial = [plan.apply(v, plan.multiplier_s) for v in inputs]
+        cases = []
+        for k in range(_WINDOW_CACHE_SIZE + 8):
+            r0, c0 = rng.integers(0, n - 24, size=2)
+            box = ((r0, r0 + 8 + k), (c0, c0 + 24))
+            out = slice(k, k + 40), slice(n - 50 - k, n - k)
+            cases.append((boxed_values(rng, n, *box), out))
+        serial_plan = q.SpectralPlan(q.Grid(4.0, n))
+        serial = [serial_plan.apply(v, serial_plan.multiplier_s, rows=r, cols=c) for v, (r, c) in cases]
+        plan = q.SpectralPlan(q.Grid(4.0, n))
         workers = 4
         results: dict[int, list] = {}
         start = threading.Barrier(workers)
 
         def worker(k):
             start.wait(timeout=60)
-            results[k] = [plan.apply(v, plan.multiplier_s) for v in inputs]
+            order = cases[k:] + cases[:k]
+            got = [plan.apply(v, plan.multiplier_s, rows=r, cols=c) for v, (r, c) in order]
+            results[k] = got[-k:] + got[:-k] if k else got
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
         interval = sys.getswitchinterval()
@@ -134,6 +169,7 @@ class TestPaddedApply:
         assert not any(t.is_alive() for t in threads)
         for k in range(workers):
             assert all(np.array_equal(r, s) for r, s in zip(results[k], serial))
+        assert len(plan._windows) == _WINDOW_CACHE_SIZE
 
     def test_plan_for_key_is_normalised(self):
         plan = q.plan_for(self.grid)
