@@ -151,28 +151,34 @@ def neumann_solve(
         plan = plan_for(mu.grid)
     support = max(mu.support_radius, phi.support_radius)
     area = mu.grid.cell_area()
-    mu_vals = mu.field.values
-    # mu S h is needed only on mu's box, so S h is computed only there
-    rows, cols = _nonzero_box(mu_vals)
-
-    h = phi.values.copy()
+    # Each iterate is h_k = Phi + c_k with c_k = mu S h_{k-1}, which
+    # vanishes off mu's nonzero box B.  So the iteration runs on B alone:
+    # c_1 = mu S Phi, then c_k = c_1 + mu S c_{k-1}, and the step
+    # h_k - h_{k-1} = c_k - c_{k-1} is zero off B.
+    box = _nonzero_box(mu.field.values)
+    mu_box = mu.field.values[box]
+    phi_box = _nonzero_box(phi.values)
+    source = mu_box * plan.apply(phi.values[phi_box], plan.multiplier_s, *box, at=phi_box)
+    c = np.zeros_like(source)
+    step = source
     history: list[float] = []
     converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        step = phi.values + mu_vals * plan.apply(h, plan.multiplier_s, rows=rows, cols=cols)
-        residual = float(np.sqrt(area * (np.abs(step - h) ** 2).sum()))
+    for k in range(max_iter):
+        if k:
+            step = source + mu_box * plan.apply(c, plan.multiplier_s, *box, at=box)
+        residual = float(np.sqrt(area * (np.abs(step - c) ** 2).sum()))
         history.append(residual)
-        h = step
+        c = step
         if residual <= tol:
             converged = True
             break
+    h = phi.values.copy()
+    h[box] += c
     solution = ComplexField(mu.grid, h, support_radius=support)
     return SolveReport(
         solution=solution,
         residual_history=history,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         tolerance=tol,
     )

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .field import BeltramiCoefficient, ComplexField, Grid
 from .transforms import _FD_WEIGHTS, _lanczos_top
@@ -316,6 +315,10 @@ class _LineInterpolant:
         x, v = lf.x, lf.values.real
         if not np.all(np.diff(v) > 0):
             raise ValueError("boundary data must be strictly increasing")
+        # imported here: scipy.interpolate is slow to load and only
+        # sampled boundary data needs it
+        from scipy.interpolate import PchipInterpolator
+
         self._pchip = PchipInterpolator(x, v, extrapolate=False)
         self._x0, self._x1 = x[0], x[-1]
         self._v0, self._v1 = v[0], v[-1]

@@ -210,10 +210,22 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=1)
+def _report_validator():
+    """Validator for the shipped schema; the schema itself is checked once."""
+    schema = report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_document(document: dict) -> None:
     """Check an emitted document against the shipped schema; raises
-    jsonschema.ValidationError on mismatch."""
-    jsonschema.validate(document, report_schema())
+    jsonschema.ValidationError on mismatch, the error
+    ``jsonschema.validate`` would raise."""
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(document))
+    if error is not None:
+        raise error
 
 
 def _write_json(path: Path, document: dict) -> None:

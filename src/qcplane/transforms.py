@@ -22,9 +22,7 @@ from collections import OrderedDict
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import sici
 
 from .field import ComplexField, Grid
 
@@ -82,9 +80,11 @@ class _LRUCache:
         return value
 
 
-# Holds every (table, input box, output box) key of one pipeline run
-# (12 for the default ball: the solve, the probes and both steps of the
-# weighted norm), so repeated runs on one plan rebuild no window.
+# Holds every (table, input box, output box) key of one pipeline run, so
+# repeated runs on one plan rebuild no window.  The default ball uses 8:
+# one (S, B, B) for the Neumann steps on mu's box B (and the solve's
+# source, whose right-hand side is mu), one (S, box(Phi), B) for each of
+# the 5 distinct probe boxes, and the two steps of the weighted norm.
 _WINDOW_CACHE_SIZE = 16
 
 
@@ -106,15 +106,15 @@ class SpectralPlan:
     fixes T's additive constant (mean-zero gauge).  |m_S| = 1 at every
     other lattice point.
 
-    A padded apply is the (factor*n)-periodic convolution with the
-    kernel kappa = ifft2(table).  Two cells of the n x n box differ by
-    less than n in each index, so no offset aliases, and an apply needs
-    kappa only at the offsets O - I between the output box O
-    (``rows`` x ``cols``) and the input's nonzero box I.  It is an exact
-    overlap-save convolution (Stockham 1966) of the input box with that
-    window of kappa, in FFTs of ``next_fast_len(|O| + |I| - 1)`` points
-    per axis: the same linear map as the full padded product, up to
-    rounding, whatever the boxes.
+    An apply is the (factor*n)-periodic convolution with the kernel
+    kappa = ifft2(table), so it needs kappa only at the offsets O - I
+    (mod factor*n) between the output box O (``rows`` x ``cols``) and
+    the input box I.  It is an exact overlap-save convolution (Stockham
+    1966) of the input box with that window of kappa, in FFTs of
+    ``next_fast_len(|O| + |I| - 1)`` points per axis: the same linear
+    map as the full product, up to rounding, whatever the boxes.  With
+    factor >= 2 two cells of the n x n box differ by less than the
+    period in each index, so no offset aliases.
 
     kappa is built on first use, once per table: 16 (factor*n)^2 bytes,
     1 MiB at n = 128 and 16 MiB at n = 512 with the default factor.  The
@@ -158,22 +158,45 @@ class SpectralPlan:
         table: np.ndarray,
         rows: slice | None = None,
         cols: slice | None = None,
+        at: tuple[slice, slice] | None = None,
     ) -> np.ndarray:
         """Zero-pad, multiply in frequency, truncate back.
 
-        ``rows`` and ``cols`` (padding >= 2 only) select the output box
-        to compute; entries outside it come back as zeros.  Callers that
-        multiply the result by a field pass that field's nonzero box.
+        ``rows`` and ``cols`` select the output box O to compute.
+        Callers that multiply the result by a field pass that field's
+        nonzero box.
+
+        Full form (``at`` is None): ``values`` is the n x n field and the
+        result is n x n, zero outside O.  The input's nonzero box is
+        found by a scan, and the box is then applied in block form.  At
+        padding 1 the full form is the plain periodic product and
+        ``rows``/``cols`` are ignored.
+
+        Block form: ``values`` is the block of the input at the
+        (rows, cols) box ``at``, the input being zero elsewhere, and the
+        result is the block of the output on O alone.  No n x n array is
+        built or scanned, so an iteration confined to one box stays
+        box-sized; at padding 1 it is the periodic convolution.
         """
         n = self.grid.n
+        out_r, out_c = _contiguous(n, rows, "rows"), _contiguous(n, cols, "cols")
+        if at is not None:
+            in_r, in_c = _contiguous(n, at[0], "at rows"), _contiguous(n, at[1], "at cols")
+            if values.shape != (in_r.stop - in_r.start, in_c.stop - in_c.start):
+                raise ValueError(f"block of shape {values.shape} does not fill the box {at}")
+            return self._apply_block(values, table, in_r, in_c, out_r, out_c)
         if self.padding_factor == 1:
             return np.fft.ifft2(np.fft.fft2(values) * table)
-        out = np.zeros((n, n), dtype=complex)
         in_r, in_c = _nonzero_box(values)
-        out_r, out_c = _contiguous(n, rows, "rows"), _contiguous(n, cols, "cols")
+        out = np.zeros((n, n), dtype=complex)
+        out[out_r, out_c] = self._apply_block(values[in_r, in_c], table, in_r, in_c, out_r, out_c)
+        return out
+
+    def _apply_block(self, block, table, in_r, in_c, out_r, out_c) -> np.ndarray:
+        """The output block on out_r x out_c of the input block at in_r x in_c."""
         box = (in_r, in_c, out_r, out_c)
         if any(s.start == s.stop for s in box):
-            return out
+            return np.zeros((out_r.stop - out_r.start, out_c.stop - out_c.start), dtype=complex)
         window = self._window(table, *box)
         m_rows, m_cols = window.shape
         # The strided column transforms run only on the input columns,
@@ -181,13 +204,12 @@ class SpectralPlan:
         # columns, after the row inverse; output cell o sits at
         # o - out.start + |I| - 1 of the convolution on each axis.
         r0, c0 = in_r.stop - in_r.start - 1, in_c.stop - in_c.start - 1
-        spec = scipy.fft.fft(values[in_r, in_c], n=m_rows, axis=0)
+        spec = scipy.fft.fft(block, n=m_rows, axis=0)
         spec = scipy.fft.fft(spec, n=m_cols, axis=1, overwrite_x=True)
         spec *= window
         spec = scipy.fft.ifft(spec, axis=1, overwrite_x=True)
         band = scipy.fft.ifft(spec[:, c0 : c0 + out_c.stop - out_c.start], axis=0, overwrite_x=True)
-        out[out_r, out_c] = band[r0 : r0 + out_r.stop - out_r.start]
-        return out
+        return band[r0 : r0 + out_r.stop - out_r.start]
 
     def _window(self, table, in_r, in_c, out_r, out_c) -> np.ndarray:
         """FFT of kappa at the offsets out - in, zero-padded to a fast size."""
@@ -563,6 +585,11 @@ def _khat_base(u: float, cut: float = 40.0) -> complex:
     at the singular points -1 and 0, plus sine/cosine-integral closed
     forms for the algebraic tails K(x) = 2/x - 1/x^2 + O(x^-3).
     """
+    # imported here: both modules are slow to load and only this
+    # transform needs them
+    from scipy.integrate import quad
+    from scipy.special import sici
+
     omega = 2.0 * np.pi * u
 
     def kernel(x):

@@ -3,6 +3,8 @@ and the half-plane boundary problem."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcplane as q
 
@@ -21,7 +23,113 @@ def mu_zero(grid256):
     return q.BeltramiCoefficient(q.ComplexField(grid256, vals, support_radius=1.0))
 
 
+def reference_solve(mu, phi, plan, tol=1e-10, max_iter=200):
+    """h <- Phi + mu S h on full n x n arrays, stopped on ||step - h||_2 <= tol."""
+    area = mu.grid.cell_area()
+    h = phi.values.copy()
+    history = []
+    for _ in range(max_iter):
+        step = phi.values + mu.field.values * plan.apply(h, plan.multiplier_s)
+        history.append(float(np.sqrt(area * (np.abs(step - h) ** 2).sum())))
+        h = step
+        if history[-1] <= tol:
+            break
+    return h, history
+
+
+def boxed_field(grid, rows, cols, seed, amplitude=1.0):
+    """Random values of modulus <= amplitude on a rows x cols box."""
+    rng = np.random.default_rng(seed)
+    shape = (rows[1] - rows[0], cols[1] - cols[0])
+    values = np.zeros((grid.n, grid.n), dtype=complex)
+    values[rows[0] : rows[1], cols[0] : cols[1]] = (
+        amplitude * rng.uniform(0.0, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape))
+    )
+    return q.ComplexField(grid, values, support_radius=np.sqrt(2.0) * grid.half_width)
+
+
+@st.composite
+def span_within(draw, lo, hi, longest):
+    """A nonempty contiguous span [a, b) of [lo, hi) no longer than ``longest``."""
+    a = draw(st.integers(lo, hi - 1))
+    return a, draw(st.integers(a + 1, min(hi, a + longest)))
+
+
+@st.composite
+def phi_span(draw, n, span, relation):
+    """A span of range(n) disjoint from, overlapping or containing ``span``."""
+    a, b = span
+    if relation == "contains":
+        return draw(st.integers(0, a)), draw(st.integers(b, n))
+    if relation == "overlaps":
+        shift = draw(st.integers(-(b - a) + 1, b - a - 1))
+        return max(0, a + shift), min(n, b + shift)
+    if a >= 1 and (b == n or draw(st.booleans())):
+        return draw(span_within(0, a, n))
+    return draw(span_within(b, n, n))
+
+
 class TestNeumannSolve:
+    grid32 = q.Grid(4.0, 32)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        factor=st.sampled_from([1, 2]),
+        mu_rows=span_within(0, 32, 12),
+        mu_cols=span_within(0, 32, 12),
+        relations=st.tuples(*[st.sampled_from(["disjoint", "overlaps", "contains"])] * 2),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_box_local_matches_full_iteration(self, factor, mu_rows, mu_cols, relations, seed, data):
+        # Phi is disjoint from, overlaps or contains mu's box on each axis
+        phi_rows = data.draw(phi_span(32, mu_rows, relations[0]))
+        phi_cols = data.draw(phi_span(32, mu_cols, relations[1]))
+        mu = q.BeltramiCoefficient(boxed_field(self.grid32, mu_rows, mu_cols, seed, 0.6))
+        phi = boxed_field(self.grid32, phi_rows, phi_cols, seed + 1)
+        plan = q.plan_for(self.grid32, factor)
+        report = q.neumann_solve(mu, phi, plan=plan)
+        ref, history = reference_solve(mu, phi, plan)
+        assert report.converged and report.iterations == len(history)
+        got = report.solution.values
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.allclose(report.residual_history, history, rtol=1e-9, atol=1e-14)
+
+    def test_one_cell_mu_box(self):
+        mu = q.BeltramiCoefficient(boxed_field(self.grid32, (9, 10), (20, 21), 3, 0.6))
+        phi = boxed_field(self.grid32, (4, 28), (2, 30), 4)
+        plan = q.plan_for(self.grid32)
+        report = q.neumann_solve(mu, phi, plan=plan)
+        ref, history = reference_solve(mu, phi, plan)
+        assert report.iterations == len(history) > 1
+        assert np.linalg.norm(report.solution.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_rhs_gives_zero(self, mu_half, grid256):
+        phi = q.ComplexField(grid256, np.zeros((256, 256), complex), support_radius=1.0)
+        report = q.neumann_solve(mu_half, phi)
+        assert report.converged and report.iterations == 1
+        assert report.residual_history == [0.0]
+        assert not report.solution.values.any()
+
+    def test_iteration_stays_on_mu_box(self):
+        # one apply per iteration: the source from Phi's box to mu's box,
+        # then blocks on mu's box, with no n x n input
+        mu = q.BeltramiCoefficient(boxed_field(self.grid32, (10, 16), (12, 20), 5, 0.6))
+        phi = boxed_field(self.grid32, (2, 30), (4, 8), 6)
+        plan = q.SpectralPlan(self.grid32)
+        calls = []
+
+        def apply(values, table, rows=None, cols=None, at=None):
+            calls.append((values.shape, rows, cols, at))
+            return q.SpectralPlan.apply(plan, values, table, rows, cols, at)
+
+        plan.apply = apply
+        report = q.neumann_solve(mu, phi, plan=plan)
+        box = (slice(10, 16), slice(12, 20))
+        assert len(calls) == report.iterations > 1
+        assert calls[0] == ((28, 4), *box, (slice(2, 30), slice(4, 8)))
+        assert all(call == ((6, 8), *box, box) for call in calls[1:])
+
     def test_contraction_and_convergence(self, mu_half):
         report = q.neumann_solve(mu_half, mu_half.field, tol=1e-8)
         assert report.converged
@@ -38,6 +146,7 @@ class TestNeumannSolve:
         phi = windowed_noise(grid256, ball256, 7)
         report = q.neumann_solve(mu_zero, phi, tol=1e-12)
         assert np.array_equal(report.solution.values, phi.values)
+        assert report.iterations == 1 and report.residual_history == [0.0]
 
     def test_requires_declared_support(self, grid256, mu_half):
         phi = q.bandlimited_noise(grid256, seed=0)

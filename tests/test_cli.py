@@ -5,7 +5,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -52,6 +57,14 @@ class TestRun:
         assert report["config"]["grid_n"] == 64
         assert "report written to" in out
         assert "chord_arc=" in out
+        # a wrong type is rejected with jsonschema.validate's own error
+        report["operator"]["iteration_count"] = "31"
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_document(report)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(report, qcplane.scenarios.report_schema())
+        assert str(ours.value) == str(reference.value)
+        assert list(ours.value.path) == ["operator", "iteration_count"]
 
     def test_unconverged_operator_clears_top_level_flag(self, tmp_path, monkeypatch):
         real = qcplane.scenarios.weighted_operator_norm
@@ -240,3 +253,13 @@ class TestTheorem2:
         assert code == 0
         summary = json.loads((tmp_path / "theorem2.json").read_text())
         assert summary["converged"] is False
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.interpolate and scipy.integrate load only where sampled boundary
+    # data and the difference-quotient kernel transform need them
+    probe = "import sys, qcplane; print(sorted(set(sys.modules) & {'scipy.interpolate', 'scipy.integrate'}))"
+    src = str(Path(qcplane.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"

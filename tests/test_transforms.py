@@ -92,6 +92,37 @@ class TestPaddedApply:
         got = plan.apply(values, getattr(plan, table), rows=rows, cols=cols)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factor=st.sampled_from([1, 2, 3]),
+        table=st.sampled_from(TABLES),
+        in_rows=band(32),
+        in_cols=band(32),
+        margin=st.tuples(*[st.integers(0, 3)] * 4),
+        rows=index_slices(32),
+        cols=index_slices(32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_form_matches_dense_reference(self, factor, table, in_rows, in_cols, margin, rows, cols, seed):
+        # the block is given at a box that may have zero margins around the
+        # input's nonzero box, and comes back as the rows x cols block
+        plan = q.plan_for(self.grid, factor)
+        values = boxed_values(np.random.default_rng(seed), 32, in_rows, in_cols)
+        at = (
+            slice(max(0, in_rows[0] - margin[0]), min(32, in_rows[1] + margin[1])),
+            slice(max(0, in_cols[0] - margin[2]), min(32, in_cols[1] + margin[3])),
+        )
+        keep = (slice(None) if rows is None else rows, slice(None) if cols is None else cols)
+        ref = dense_apply(plan, values, getattr(plan, table))[keep]
+        got = plan.apply(values[at], getattr(plan, table), rows=rows, cols=cols, at=at)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+
+    def test_block_must_fill_its_box(self):
+        plan = q.plan_for(self.grid)
+        with pytest.raises(ValueError, match="block"):
+            plan.apply(np.ones((4, 5)), plan.multiplier_s, at=(slice(0, 4), slice(0, 4)))
+
     @pytest.mark.parametrize("table", TABLES)
     def test_zero_input_gives_zeros(self, table):
         plan = q.plan_for(self.grid)
