@@ -147,7 +147,10 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    grid = Grid(args.grid_l, args.grid_n)
+    try:
+        grid = Grid(args.grid_l, args.grid_n)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
     plan_exact = SpectralPlan(grid, padding_factor=1)
     checks: list[tuple[str, float, float]] = []
 

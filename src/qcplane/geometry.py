@@ -47,9 +47,13 @@ class MapEvaluator:
     notes : str
         Domain-of-validity remarks.
     dbar_field : ComplexField, optional
-        The dbar(rho) grid field when produced by a solve.
+        The dbar(rho) grid field, set by the solver, by prop2_map and by
+        the ba_extension scenario.
     report : object, optional
         Solver report when applicable.
+    _wirtinger : callable, optional
+        Exact z -> (dbar rho, d rho) off the real axis, set by the
+        closed-form maps; without it :func:`map_dilatation` differences.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -57,6 +61,7 @@ class MapEvaluator:
     notes: str = ""
     dbar_field: ComplexField | None = None
     report: object | None = None
+    _wirtinger: Callable | None = dataclass_field(default=None, repr=False)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -338,15 +343,19 @@ class _LineInterpolant:
 def ba_extension(f, gl_order: int = 64) -> MapEvaluator:
     """Beurling-Ahlfors extension of an increasing boundary map of R.
 
-    For y > 0,
+    For y > 0, with A = int_0^1 f(x+ty) dt and B = int_0^1 f(x-ty) dt,
 
-        Re rho = (1/2) int_0^1 [f(x+ty) + f(x-ty)] dt,
-        Im rho = (1/2) int_0^1 [f(x+ty) - f(x-ty)] dt,
+        rho = (1/2) [(1+i) A + (1-i) B],
 
     evaluated by fixed-order Gauss-Legendre quadrature; the lower
     half-plane is filled in by the reflection rho(conj z) = conj(rho(z)).
     The identity boundary map yields rho(x+iy) = x + iy/2, the constant
     vertical normalization of this construction.
+
+    The evaluator carries the exact Wirtinger pair, from the same
+    quadratures: A_x = (f(x+y) - f(x))/y, A_y = (f(x+y) - A)/y,
+    B_x = (f(x) - f(x-y))/y, B_y = (f(x-y) - B)/y, and both derivatives
+    reflect by conjugation, like rho itself.
 
     Parameters
     ----------
@@ -371,28 +380,39 @@ def ba_extension(f, gl_order: int = 64) -> MapEvaluator:
     t = 0.5 * (nodes + 1.0)
     wt = 0.5 * weights
 
+    def averages(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the window means A and B at flat x and y > 0
+        a = boundary(x[:, None] + t[None, :] * y[:, None]) @ wt
+        b = boundary(x[:, None] - t[None, :] * y[:, None]) @ wt
+        return a, b
+
     def evaluate(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         x, y = flat.real, flat.imag
-        ya = np.abs(y)
         out = np.empty(flat.size, dtype=complex)
-        on_axis = ya == 0.0
+        on_axis = y == 0.0
         if on_axis.any():
             out[on_axis] = boundary(x[on_axis])
         off = ~on_axis
         if off.any():
-            xo, yo = x[off], ya[off]
-            plus = boundary(xo[:, None] + t[None, :] * yo[:, None])
-            minus = boundary(xo[:, None] - t[None, :] * yo[:, None])
-            re = 0.5 * ((plus + minus) @ wt)
-            im = 0.5 * ((plus - minus) @ wt)
-            val = re + 1j * im
-            val = np.where(y[off] > 0, val, np.conj(val))
-            out[off] = val
+            a, b = averages(x[off], np.abs(y[off]))
+            val = 0.5 * ((1 + 1j) * a + (1 - 1j) * b)
+            out[off] = np.where(y[off] > 0, val, np.conj(val))
         return out.reshape(z.shape)
 
-    return MapEvaluator(evaluate, provenance="extension", notes=note)
+    def wirtinger(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        x, y = flat.real, np.abs(flat.imag)
+        a, b = averages(x, y)
+        fp, f0, fm = boundary(x + y), boundary(x), boundary(x - y)
+        rho_x = 0.5 * ((1 + 1j) * (fp - f0) + (1 - 1j) * (f0 - fm)) / y
+        rho_y = 0.5 * ((1 + 1j) * (fp - a) + (1 - 1j) * (fm - b)) / y
+        pair = (0.5 * (rho_x + 1j * rho_y), 0.5 * (rho_x - 1j * rho_y))
+        return tuple(np.where(flat.imag < 0, np.conj(w), w).reshape(z.shape) for w in pair)
+
+    return MapEvaluator(evaluate, provenance="extension", notes=note, _wirtinger=wirtinger)
 
 
 def fd_wirtinger(
@@ -420,50 +440,60 @@ def fd_wirtinger(
     return dbar, d
 
 
+def _dbar_and_mu(
+    rho: MapEvaluator, grid: Grid, rel_step: float = 0.125, order: int = 6
+) -> tuple[ComplexField, BeltramiCoefficient]:
+    """(dbar rho, mu) on the grid, from the map's exact pair when it has one,
+    else by finite differences; the support radius is the grid diagonal."""
+    pts = grid.points()
+    if rho._wirtinger is not None:
+        dbar, d = rho._wirtinger(pts)
+    else:
+        dbar, d = fd_wirtinger(rho, pts, rel_step * np.abs(pts.imag), order=order)
+    radius = float(np.sqrt(2.0) * grid.half_width)
+    mu = BeltramiCoefficient(ComplexField(grid, dbar / d, support_radius=radius))
+    return ComplexField(grid, dbar, support_radius=radius), mu
+
+
 def map_dilatation(
     rho: MapEvaluator, grid: Grid, rel_step: float = 0.125, order: int = 6
 ) -> BeltramiCoefficient:
     """Dilatation mu = dbar(rho)/d(rho) sampled on the grid.
 
-    The finite-difference step at each sample is ``rel_step * |Im z|``,
-    which keeps the stencil inside one half-plane (required for maps
-    defined by reflection) and makes the relative truncation error
+    A closed-form map (:func:`ba_extension`, :func:`prop2_map`) supplies
+    its exact Wirtinger pair and ``rel_step``/``order`` are unused.  Any
+    other map is differenced with step ``rel_step * |Im z|`` at each
+    sample, which keeps the stencil inside one half-plane (required for
+    maps defined by reflection) and makes the relative truncation error
     uniform for maps with power-law behavior near the axis.
 
     The result is truncated to the grid box: its declared support radius
     is the grid diagonal, so non-compact dilatations are represented by
     their restriction, reported as such.
     """
-    pts = grid.points()
-    steps = rel_step * np.abs(pts.imag)
-    dbar, d = fd_wirtinger(rho, pts, steps, order=order)
-    mu = dbar / d
-    radius = float(np.sqrt(2.0) * grid.half_width)
-    return BeltramiCoefficient(ComplexField(grid, mu, support_radius=radius))
+    return _dbar_and_mu(rho, grid, rel_step, order)[1]
 
 
-def prop2_map(K: float, grid: Grid, fd_rel_step: float = 0.04) -> tuple[MapEvaluator, BeltramiCoefficient]:
+def prop2_map(K: float, grid: Grid) -> tuple[MapEvaluator, BeltramiCoefficient]:
     """Closed-form sector map with |rho(z)| = |z|^(1/K), and its dilatation.
 
-    rho(z) = z^(1/K) on the sector E0 = {|arg z| < pi/4}, equals
-    -(-z)^(1/K) on E1 = -E0, and elsewhere keeps modulus |z|^(1/K) with
-    a piecewise-linear argument interpolating the sector boundary
-    values.  Restricted to R it is sign(x) |x|^(1/K).
+    With a = 1/K and z = r e^(i theta), rho(z) = r^a exp(i sign(theta)
+    phi(|theta|)), phi piecewise linear through (0, 0), (pi/4, a pi/4),
+    (3pi/4, pi - a pi/4), (pi, pi): rho(z) = z^a on the sector
+    E0 = {|arg z| <= pi/4}, -(-z)^a on E1 = -E0, and the argument is
+    interpolated in between.  Restricted to R it is sign(x) |x|^a.
 
-    The dilatation is sampled on the grid by high-order centered finite
-    differences of the closed form, truncated to the grid box.  The map
-    is only Lipschitz across the sector rays, so each grid point is
-    differenced against its own sector's formula (each branch extends
-    analytically past its ray); the per-point step scales with |z|,
-    keeping the relative truncation error uniform for the power-law map.
+    With s = phi' (a on E0 and E1, 2 - a between), the exact pair
+    dbar rho = e^(i theta) rho (a - s)/(2r), d rho = e^(-i theta) rho
+    (a + s)/(2r) gives mu = 0 on E0 and E1 and |mu| = 1 - 1/K between.
+    The evaluator carries that pair and the dbar(rho) grid field; mu is
+    sampled on the grid, truncated to the grid box.
 
     Parameters
     ----------
     K : float
         Distortion parameter, 1 < K < 2.
     grid : Grid
-    fd_rel_step : float
-        Step of the dilatation sampling, relative to |z|.
 
     Raises
     ------
@@ -474,62 +504,27 @@ def prop2_map(K: float, grid: Grid, fd_rel_step: float = 0.04) -> tuple[MapEvalu
         raise ValueError(f"K must lie in (1, 2), got {K}")
     alpha = 1.0 / K
     quarter = 0.25 * np.pi
-    slope = 2.0 - alpha
-
-    def branch_e0(z):
-        return z**alpha
-
-    def branch_e1(z):
-        return -((-z) ** alpha)
-
-    def branch_upper(z):
-        return np.abs(z) ** alpha * np.exp(1j * (alpha * quarter + (np.angle(z) - quarter) * slope))
-
-    def branch_lower(z):
-        return np.conj(branch_upper(np.conj(z)))
+    knots = (0.0, quarter, 3.0 * quarter, np.pi)
+    phases = (0.0, alpha * quarter, np.pi - alpha * quarter, np.pi)
 
     def evaluate(z: np.ndarray) -> np.ndarray:
+        theta = np.angle(z)
+        return np.abs(z) ** alpha * np.exp(1j * np.sign(theta) * np.interp(np.abs(theta), knots, phases))
+
+    def wirtinger(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.zeros(flat.size, dtype=complex)
-        nz = flat != 0
-        zz = flat[nz]
-        theta = np.angle(zz)
-        val = np.empty(zz.size, dtype=complex)
-        e0 = np.abs(theta) <= quarter
-        e1 = np.abs(theta) >= 3.0 * quarter
-        up = ~(e0 | e1) & (theta > 0)
-        low = ~(e0 | e1) & (theta < 0)
-        val[e0] = branch_e0(zz[e0])
-        val[e1] = branch_e1(zz[e1])
-        val[up] = branch_upper(zz[up])
-        val[low] = branch_lower(zz[low])
-        out[nz] = val
-        return out.reshape(z.shape)
+        r, theta = np.abs(z), np.angle(z)
+        middle = (np.abs(theta) > quarter) & (np.abs(theta) < 3.0 * quarter)
+        s = np.where(middle, 2.0 - alpha, alpha)
+        half = evaluate(z) / (2.0 * r)
+        turn = np.exp(1j * theta)
+        return turn * half * (alpha - s), np.conj(turn) * half * (alpha + s)
 
-    pts = grid.points()
-    theta = np.angle(pts)
-    masks = {
-        branch_e0: np.abs(theta) <= quarter,
-        branch_e1: np.abs(theta) >= 3.0 * quarter,
-        branch_upper: (np.abs(theta) > quarter) & (np.abs(theta) < 3.0 * quarter) & (theta > 0),
-        branch_lower: (np.abs(theta) > quarter) & (np.abs(theta) < 3.0 * quarter) & (theta < 0),
-    }
-    dbar_vals = np.empty(pts.shape, dtype=complex)
-    d_vals = np.empty(pts.shape, dtype=complex)
-    for branch, mask in masks.items():
-        zs = pts[mask]
-        db, dd = fd_wirtinger(branch, zs, fd_rel_step * np.abs(zs), order=6)
-        dbar_vals[mask] = db
-        d_vals[mask] = dd
-    radius = float(np.sqrt(2.0) * grid.half_width)
-    dbar_field = ComplexField(grid, dbar_vals, support_radius=radius)
-    mu = BeltramiCoefficient(ComplexField(grid, dbar_vals / d_vals, support_radius=radius))
-
-    evaluator = MapEvaluator(
+    rho = MapEvaluator(
         evaluate,
         provenance="closed-form",
         notes=f"sector map, K={K}; dilatation vanishes on E0 and E1",
-        dbar_field=dbar_field,
+        _wirtinger=wirtinger,
     )
-    return evaluator, mu
+    rho.dbar_field, mu = _dbar_and_mu(rho, grid)
+    return rho, mu

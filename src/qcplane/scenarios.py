@@ -29,15 +29,14 @@ from .beltrami import (
     solve_beltrami,
     weighted_operator_norm,
 )
-from .field import ComplexField, Grid, indicator_ball, norm, read_field, write_field
+from .field import Grid, indicator_ball, norm, read_field, write_field
 from .geometry import (
     MapEvaluator,
+    _dbar_and_mu,
     ba_extension,
     bilipschitz_profile,
     chord_arc_constant,
     curve_cauchy_operator,
-    fd_wirtinger,
-    map_dilatation,
     prop2_map,
     regularity_check,
     trace_curve,
@@ -160,7 +159,9 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
     """Materialize the dilatation and, for closed-form kinds, the map.
 
     Returns (mu, rho); rho is None when the map must come from the
-    solver (ball and custom-file scenarios).
+    solver (ball and custom-file scenarios).  A closed-form rho carries
+    its ``dbar_field`` on the scenario grid, from its exact Wirtinger
+    pair.
     """
     config.validate()
     grid = Grid(config.grid_l, config.grid_n)
@@ -174,15 +175,13 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
         return mu, rho
     if config.kind == "ba_extension":
         rho = ba_extension(_power_boundary(config.k))
-        mu = map_dilatation(rho, grid)
-        return mu, rho
+        dbar_field, mu = _dbar_and_mu(rho, grid)
+        return mu, replace(rho, dbar_field=dbar_field)
     if config.kind == "custom-file":
         path = Path(config.mu_file)
-        if not path.exists():
-            raise ConfigError(f"mu_file does not exist: {path}")
         try:
             mu = BeltramiCoefficient(read_field(path))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"unusable mu_file {path}: {exc}") from exc
         return mu, None
     raise ConfigError(f"unknown scenario kind {config.kind!r}")
@@ -194,14 +193,6 @@ def _as_run(config: ScenarioConfig, grid: Grid) -> ScenarioConfig:
     if config.kind == "custom-file":
         return replace(config, grid_n=grid.n, grid_l=grid.half_width)
     return config
-
-
-def _dbar_field_of(rho: MapEvaluator, grid: Grid) -> ComplexField:
-    if rho.dbar_field is not None and rho.dbar_field.grid == grid:
-        return rho.dbar_field
-    pts = grid.points()
-    dbar, _ = fd_wirtinger(rho, pts, 0.125 * np.abs(pts.imag), order=6)
-    return ComplexField(grid, dbar, support_radius=float(np.sqrt(2.0) * grid.half_width))
 
 
 @lru_cache(maxsize=1)
@@ -299,7 +290,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     trace.to_csv(out / "trace.csv")
     report["chord_arc"] = chord_arc_constant(trace).to_json_dict()
     report["regularity"] = regularity_check(trace)
-    report["energy"] = rectifiability_energy(_dbar_field_of(rho, grid))
+    report["energy"] = rectifiability_energy(rho.dbar_field)
     report["curve_operator_norm"] = curve_cauchy_operator(trace.strided(2048))
     _write_json(out / "report.json", report)
     return report
@@ -322,9 +313,12 @@ def compare_theorem1(
     """
     if len(configs) < 3:
         raise ConfigError("theorem1 family needs at least 3 members")
+    members = [build_scenario(config)[0] for config in configs]
+    for i, mu in enumerate(members):
+        if mu.sup_bound == 0.0:
+            raise ConfigError(f"theorem1 member {i} has a vanishing dilatation; its ratio is undefined")
     rows = []
-    for i, config in enumerate(configs):
-        mu, _ = build_scenario(config)
+    for i, (config, mu) in enumerate(zip(configs, members)):
         carleson = carleson_norm(carleson_density(mu), "line").norm
         stats = weighted_operator_norm(mu, seed=config.seed)
         if i == 0:
@@ -394,7 +388,7 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     length = trace.total_length()
     delta = abs(fine.total_length() - length) / length
     chord_arc = chord_arc_constant(trace)
-    energy = rectifiability_energy(_dbar_field_of(rho, grid))
+    energy = rectifiability_energy(rho.dbar_field)
 
     blowup = None
     if config.kind == "prop2":

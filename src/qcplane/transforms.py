@@ -384,42 +384,49 @@ def cauchy_at_points(f: ComplexField, points: np.ndarray) -> np.ndarray:
     ndarray of complex, same shape as ``points``.
     """
     points = np.asarray(points, dtype=complex)
-    shape = points.shape
-    pts = points.ravel()
     mask = np.abs(f.values) > 0
     src = f.grid.points()[mask]
     val = f.values[mask]
-    out = np.zeros(pts.size, dtype=complex)
-    if src.size:
-        h = f.grid.spacing
-        area = f.grid.cell_area()
-        scale = -area / np.pi
-        near_box = 2.0 * h
-        grad_d = grad_db = None
-        chunk = max(1, int(4_000_000 // max(src.size, 1)))
-        for start in range(0, pts.size, chunk):
-            block = pts[start : start + chunk, None]
-            diff = src[None, :] - block
-            nearmask = (np.abs(diff.real) < near_box) & (np.abs(diff.imag) < near_box)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kern = 1.0 / diff
-            kern[nearmask] = 0.0
-            acc = scale * (kern @ val)
-            if nearmask.any():
-                if grad_d is None:
-                    fx = derivative_fd(f.values, h, axis=0, order=2)
-                    fy = derivative_fd(f.values, h, axis=1, order=2)
-                    grad_d = (0.5 * (fx - 1j * fy))[mask]
-                    grad_db = (0.5 * (fx + 1j * fy))[mask]
-                rows, cols = np.nonzero(nearmask)
-                zeta = -diff[rows, cols]
-                j0, i1bar = _near_cell_integrals(zeta, h)
-                i1 = zeta * j0 - area / np.pi
-                contrib = val[cols] * j0 + grad_d[cols] * i1 + grad_db[cols] * i1bar
-                acc += np.bincount(rows, weights=contrib.real, minlength=acc.size)
-                acc += 1j * np.bincount(rows, weights=contrib.imag, minlength=acc.size)
-            out[start : start + chunk] = acc
-    return out.reshape(shape)
+    h = f.grid.spacing
+    area = f.grid.cell_area()
+    scale = -area / np.pi
+    near_box = 2.0 * h
+    grad_d = grad_db = None
+
+    def block_sum(diff):
+        nonlocal grad_d, grad_db
+        nearmask = (np.abs(diff.real) < near_box) & (np.abs(diff.imag) < near_box)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern = 1.0 / diff
+        kern[nearmask] = 0.0
+        acc = scale * (kern @ val)
+        if nearmask.any():
+            if grad_d is None:
+                fx = derivative_fd(f.values, h, axis=0, order=2)
+                fy = derivative_fd(f.values, h, axis=1, order=2)
+                grad_d = (0.5 * (fx - 1j * fy))[mask]
+                grad_db = (0.5 * (fx + 1j * fy))[mask]
+            rows, cols = np.nonzero(nearmask)
+            zeta = -diff[rows, cols]
+            j0, i1bar = _near_cell_integrals(zeta, h)
+            i1 = zeta * j0 - area / np.pi
+            contrib = val[cols] * j0 + grad_d[cols] * i1 + grad_db[cols] * i1bar
+            acc += np.bincount(rows, weights=contrib.real, minlength=acc.size)
+            acc += 1j * np.bincount(rows, weights=contrib.imag, minlength=acc.size)
+        return acc
+
+    return _chunked_kernel_sum(points.ravel(), src, block_sum).reshape(points.shape)
+
+
+def _chunked_kernel_sum(targets: np.ndarray, sources: np.ndarray, block_sum) -> np.ndarray:
+    """Direct kernel sums: ``block_sum(sources[None, :] - targets[chunk, None])``
+    gives one value per target, over chunks of about 4e6 pairs."""
+    out = np.zeros(targets.size, dtype=complex)
+    if sources.size:
+        chunk = max(1, int(4_000_000 // sources.size))
+        for start in range(0, targets.size, chunk):
+            out[start : start + chunk] = block_sum(sources[None, :] - targets[start : start + chunk, None])
+    return out
 
 
 # Antisymmetric centered first-derivative weights for offsets 1..p at
@@ -505,16 +512,9 @@ def line_sample(func, half_width: float, samples: int, support_halfwidth: float 
 
 def _line_kernel_sum(f: LineFunction, pts: np.ndarray, power: int) -> np.ndarray:
     """Chunked quadrature of sum_i f(x_i)/(x_i - z)^power."""
-    x = f.x
     nz = np.abs(f.values) > 0
-    xs, vs = x[nz], f.values[nz]
-    out = np.zeros(pts.size, dtype=complex)
-    if xs.size:
-        chunk = max(1, int(4_000_000 // xs.size))
-        for start in range(0, pts.size, chunk):
-            diff = xs[None, :] - pts[start : start + chunk, None]
-            out[start : start + chunk] = (diff ** -power) @ vs
-    return out
+    vs = f.values[nz]
+    return _chunked_kernel_sum(pts, f.x[nz], lambda diff: (diff**-power) @ vs)
 
 
 def cauchy_line_extension(f: LineFunction, eval_points: np.ndarray) -> np.ndarray:

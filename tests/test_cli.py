@@ -14,8 +14,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+import qcplane.geometry
 import qcplane.scenarios
-from qcplane import Grid, indicator_ball, validate_document, write_field
+from qcplane import Grid, ba_extension, indicator_ball, prop2_map, validate_document, write_field
 from qcplane.cli import build_parser, main
 
 
@@ -119,6 +120,31 @@ class TestRun:
             assert_numbers_close(a[key], b[key], 1e-12, key)
         assert a["solver"]["iterations"] == b["solver"]["iterations"]
 
+    @pytest.mark.parametrize("kind", ["prop2", "ba_extension"])
+    def test_closed_form_scenarios_use_exact_derivatives(self, tmp_path, kind, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("finite differences on a scenario path")
+
+        monkeypatch.setattr(qcplane.geometry, "fd_wirtinger", forbidden)
+        argv = ["--scenario", kind, "--grid-n", "64", "--out", str(tmp_path)]
+        assert run_cli(["run", *argv])[0] == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        validate_document(report)
+        assert report["converged"] is True
+        # the energy is ||dbar rho||^2 in L^2(dm/|y|), from the exact pair
+        grid = Grid(8.0, 64)
+        pts = grid.points()
+        if kind == "prop2":
+            rho, _ = prop2_map(1.5, grid)
+        else:
+            rho = ba_extension(lambda x: np.sign(x) * np.abs(x) ** (1.0 / 1.5))
+        dbar, _ = rho._wirtinger(pts)
+        energy = grid.cell_area() * np.sum(np.abs(dbar) ** 2 / np.abs(pts.imag))
+        assert report["energy"] == pytest.approx(energy, rel=1e-12)
+        assert run_cli(["theorem2", *argv])[0] == 0
+        summary = json.loads((tmp_path / "theorem2.json").read_text())
+        assert summary["energy"] == report["energy"]
+
 
 def assert_numbers_close(a, b, rtol, path):
     """Same JSON structure, with every number equal to ``rtol`` relative."""
@@ -181,6 +207,32 @@ class TestErrorPaths:
         doc = json.loads(err.strip())
         assert doc["error"] == "config"
         assert "sup norm 1.5" in doc["message"]
+
+    def test_directory_custom_file_exit_two(self, tmp_path):
+        folder = tmp_path / "a-directory"
+        folder.mkdir()
+        code, _, err = self._run_custom_file(tmp_path, folder)
+        assert code == 2
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "a-directory" in doc["message"]
+
+    def test_selftest_invalid_grid_exit_two(self):
+        code, out, err = run_cli(["transform-selftest", "--grid-n", "100"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip())["error"] == "config"
+
+    def test_theorem1_vanishing_member_exit_two(self, tmp_path):
+        code, out, err = run_cli(
+            ["theorem1", "--grid-n", "64", "--c", "0", "0.2", "0.4", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "vanishing dilatation" in doc["message"]
+        assert not (tmp_path / "theorem1.json").exists()
 
     def test_non_convergence_exit_three(self, tmp_path):
         # unreachable tolerance: the solver stalls at the floating-point floor

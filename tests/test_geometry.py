@@ -215,6 +215,21 @@ class TestBaExtension:
         with pytest.raises(ValueError):
             q.ba_extension(lf)
 
+    def test_exact_pair_matches_finite_differences(self):
+        rho = q.ba_extension(lambda x: x + 0.5 * np.tanh(x))
+        rng = np.random.default_rng(3)
+        upper = rng.uniform(-4, 4, 100) + 1j * rng.uniform(0.2, 4, 100)
+        for zs in (upper, np.conj(upper)):
+            dbar, d = rho._wirtinger(zs)
+            fd_dbar, fd_d = q.fd_wirtinger(rho, zs, 1e-3 * np.abs(zs.imag), order=6)
+            scale = np.max(np.abs(fd_d))
+            assert np.max(np.abs(dbar - fd_dbar)) <= 1e-7 * scale
+            assert np.max(np.abs(d - fd_d)) <= 1e-7 * scale
+        dbar, d = rho._wirtinger(upper)
+        dbar_low, d_low = rho._wirtinger(np.conj(upper))
+        assert np.max(np.abs(dbar_low - np.conj(dbar))) <= 1e-15 * np.max(np.abs(dbar))
+        assert np.max(np.abs(d_low - np.conj(d))) <= 1e-15 * np.max(np.abs(d))
+
     def test_power_boundary_contractive_dilatation(self, grid256):
         rho = q.ba_extension(lambda x: np.sign(x) * np.abs(x) ** (1.0 / 1.5))
         mu = q.map_dilatation(rho, grid256)
@@ -230,6 +245,11 @@ class TestFdWirtinger:
         dbar, d = q.fd_wirtinger(rho, pts, 1e-2 * np.ones(3), order=6)
         assert np.max(np.abs(dbar - 0.3)) <= 1e-9
         assert np.max(np.abs(d - 2.0 * pts)) <= 1e-9
+
+    def test_map_dilatation_differences_other_maps(self):
+        rho = q.MapEvaluator(lambda z: z + 0.3 * np.conj(z), provenance="closed-form")
+        mu = q.map_dilatation(rho, q.Grid(4.0, 32))
+        assert np.max(np.abs(mu.field.values - 0.3)) <= 1e-10
 
     def test_order_validation(self):
         rho = q.MapEvaluator(lambda z: z, provenance="closed-form")
@@ -272,6 +292,27 @@ class TestSectorMap:
         assert mid.max() - mid.min() <= 1e-6
         # regression value of the constant modulus at K = 1.5
         assert abs(mid.mean() - 0.33333334) <= 1e-6
+
+    def test_exact_dilatation(self, grid256, sector):
+        rho, mu = sector
+        theta = np.angle(grid256.points())
+        on_axis_sectors = (np.abs(theta) <= 0.25 * np.pi) | (np.abs(theta) >= 0.75 * np.pi)
+        assert np.all(mu.field.values[on_axis_sectors] == 0.0)
+        assert np.all(rho.dbar_field.values[on_axis_sectors] == 0.0)
+        mid = np.abs(mu.field.values[~on_axis_sectors])
+        assert np.max(np.abs(mid - (1.0 - 1.0 / 1.5))) <= 1e-15
+
+    def test_exact_pair_matches_finite_differences(self, sector):
+        rho, _ = sector
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-7, 7, 400) + 1j * rng.uniform(-7, 7, 400)
+        # keep the stencil inside one smooth piece: away from the sector rays
+        ray_gap = np.min(np.abs(np.abs(np.angle(z))[:, None] - [0.25 * np.pi, 0.75 * np.pi]), axis=1)
+        z = z[(ray_gap > 0.05) & (np.abs(z) > 0.5)]
+        dbar, d = rho._wirtinger(z)
+        fd_dbar, fd_d = q.fd_wirtinger(rho, z, 1e-4 * np.abs(z), order=6)
+        assert np.max(np.abs(dbar - fd_dbar) / np.abs(fd_d)) <= 1e-7
+        assert np.max(np.abs(d - fd_d) / np.abs(fd_d)) <= 1e-7
 
     def test_boundary_image_chord_arc(self, sector):
         rho, _ = sector
