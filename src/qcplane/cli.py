@@ -20,6 +20,7 @@ import numpy as np
 from .beltrami import NonConvergenceError
 from .field import Grid, bandlimited_noise, indicator_ball, norm
 from .scenarios import (
+    SCENARIO_KINDS,
     ConfigError,
     ScenarioConfig,
     compare_theorem1,
@@ -51,25 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcplane", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario and write its report bundle")
-    p_run.add_argument(
-        "--scenario", required=True, choices=["ball", "prop2", "ba_extension", "custom-file"]
-    )
-    _add_common(p_run)
-    _add_scenario_params(p_run)
+    for name, help_text in (
+        ("run", "run one scenario and write its report bundle"),
+        ("theorem2", "invertibility and chord-arc summary for one scenario"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
+        _add_common(p)
+        _add_scenario_params(p)
 
     p_t1 = sub.add_parser("theorem1", help="Carleson norm vs operator norm table over a ball family")
     _add_common(p_t1)
     p_t1.add_argument("--c", type=float, nargs="+", default=[0.2, 0.4, 0.6], help="family amplitudes")
     p_t1.add_argument("--center", type=complex, default=4j)
     p_t1.add_argument("--radius", type=float, default=1.0)
-
-    p_t2 = sub.add_parser("theorem2", help="invertibility and chord-arc summary for one scenario")
-    p_t2.add_argument(
-        "--scenario", required=True, choices=["ball", "prop2", "ba_extension", "custom-file"]
-    )
-    _add_common(p_t2)
-    _add_scenario_params(p_t2)
 
     p_st = sub.add_parser("transform-selftest", help="quick operator identities on a seeded field")
     p_st.add_argument("--grid-n", type=int, default=256)
@@ -92,11 +88,13 @@ def _config_from(args: argparse.Namespace, kind: str, c: float | None = None) ->
     )
 
 
+def _out(args: argparse.Namespace) -> str:
+    return args.out or str(default_output_root())
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from(args, args.scenario)
-    report = run_scenario(config)
-    out = config.out_dir or str(default_output_root())
-    print(f"report written to {out}/report.json (config {report['config_hash'][:12]})")
+    report = run_scenario(_config_from(args, args.scenario))
+    print(f"report written to {_out(args)}/report.json (config {report['config_hash'][:12]})")
     print(
         f"carleson={report['carleson']['norm']:.6g} "
         f"opnorm={report['operator']['weighted_norm_estimate']:.6g} "
@@ -107,34 +105,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> int:
-    configs = [
-        ScenarioConfig(
-            kind="ball",
-            grid_n=args.grid_n,
-            grid_l=args.grid_l,
-            tol=args.tol,
-            c=c,
-            center=args.center,
-            radius=args.radius,
-            out_dir=args.out,
-        )
-        for c in args.c
-    ]
-    out = args.out or str(default_output_root())
-    table = compare_theorem1(configs, out_dir=out)
+    table = compare_theorem1([_config_from(args, "ball", c=c) for c in args.c], out_dir=_out(args))
     for row in table["rows"]:
         print(
             f"{row['label']}: carleson={row['carleson_norm']:.6g} "
             f"opnorm_sq={row['operator_norm_sq']:.6g} ratio={row['ratio']:.6g}"
         )
-    print(f"norm_sq_slope={table['norm_sq_slope']:.4f} (table in {out}/theorem1.csv)")
+    print(f"norm_sq_slope={table['norm_sq_slope']:.4f} (table in {_out(args)}/theorem1.csv)")
     return 0
 
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
-    config = _config_from(args, args.scenario)
-    out = config.out_dir or str(default_output_root())
-    summary = verify_theorem2(config, out_path=f"{out}/theorem2.json")
+    summary = verify_theorem2(_config_from(args, args.scenario), out_path=f"{_out(args)}/theorem2.json")
     print(
         f"carleson={summary['carleson_norm']:.6g} c1={summary['c1_estimate']:.6g} "
         f"chord_arc={summary['chord_arc_constant']:.6g}"
@@ -185,29 +167,24 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "theorem1": _cmd_theorem1,
+    "theorem2": _cmd_theorem2,
+    "transform-selftest": _cmd_selftest,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "theorem1":
-            return _cmd_theorem1(args)
-        if args.command == "theorem2":
-            return _cmd_theorem2(args)
-        if args.command == "transform-selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, FileNotFoundError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(json.dumps({"error": "non-convergence", "message": str(exc)}), file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

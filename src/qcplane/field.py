@@ -126,10 +126,6 @@ class ComplexField:
         """New field on the same grid."""
         return ComplexField(self.grid, values, support_radius)
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ComplexField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=complex))
-
     def __repr__(self) -> str:
         return (
             f"ComplexField(grid={self.grid!r}, support_radius={self.support_radius})"

@@ -107,9 +107,6 @@ class CurveTrace:
     def segment_lengths(self) -> np.ndarray:
         return np.diff(self.cum_length)
 
-    def half_width(self) -> float:
-        return float(max(-self.params[0], self.params[-1]))
-
     def strided(self, max_points: int) -> "CurveTrace":
         """Subsampled copy keeping at most max_points samples."""
         step = max(1, int(np.ceil(self.size() / max_points)))

@@ -5,7 +5,9 @@ closed-form sector map, a boundary-map extension, or a field file), a
 grid and tolerances.  ``run_scenario`` wires it through the solver and
 the analyzers and writes a JSON report plus CSV/binary artifacts whose
 bytes depend only on the config: seeds are explicit, no timestamps are
-recorded, and keys are emitted sorted.
+recorded, and keys are emitted sorted.  ``run_scenario``,
+``compare_theorem1`` and ``verify_theorem2`` read their stages from one
+per-run record, ``_Run``, where each stage call is written once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib.resources import files as _resource_files
 from pathlib import Path
 
@@ -177,22 +179,12 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
         rho = ba_extension(_power_boundary(config.k))
         dbar_field, mu = _dbar_and_mu(rho, grid)
         return mu, replace(rho, dbar_field=dbar_field)
-    if config.kind == "custom-file":
-        path = Path(config.mu_file)
-        try:
-            mu = BeltramiCoefficient(read_field(path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unusable mu_file {path}: {exc}") from exc
-        return mu, None
-    raise ConfigError(f"unknown scenario kind {config.kind!r}")
-
-
-def _as_run(config: ScenarioConfig, grid: Grid) -> ScenarioConfig:
-    """The config to record: a custom-file scenario runs on the file's grid,
-    not on ``grid_n``/``grid_l``."""
-    if config.kind == "custom-file":
-        return replace(config, grid_n=grid.n, grid_l=grid.half_width)
-    return config
+    path = Path(config.mu_file)  # custom-file, the one kind left after validate()
+    try:
+        mu = BeltramiCoefficient(read_field(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unusable mu_file {path}: {exc}") from exc
+    return mu, None
 
 
 @lru_cache(maxsize=1)
@@ -224,18 +216,69 @@ def _write_json(path: Path, document: dict) -> None:
     path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_out(config: ScenarioConfig) -> Path:
-    out = Path(config.out_dir) if config.out_dir else default_output_root()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _output_dir(path: Path | str) -> Path:
+    """Create an output directory; a path that cannot be one is a config error."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"unusable output directory {path}: {exc}") from exc
+    return path
 
 
-def _mu_summary(mu: BeltramiCoefficient) -> dict:
-    return {
-        "sup_bound": mu.sup_bound,
-        "support_radius": mu.support_radius,
-        "norm_l2": norm(mu.field),
-    }
+class _Run:
+    """One scenario's pipeline: the recorded config, mu, and each stage,
+    computed on first read and kept.
+
+    The stage functions are looked up in this module at call time, so
+    rebinding one (for tracing, or in a test) reaches every entry point.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.mu, self._closed_form = build_scenario(config)
+        self.grid = self.mu.grid
+        # a custom-file scenario runs on the file's grid, not on grid_n/grid_l
+        if config.kind == "custom-file":
+            config = replace(config, grid_n=self.grid.n, grid_l=self.grid.half_width)
+        self.config = config
+
+    def header(self, document: str) -> dict:
+        return {
+            "document": document,
+            "config": self.config.canonical_dict(),
+            "config_hash": self.config.config_hash(),
+        }
+
+    @cached_property
+    def carleson(self):
+        return carleson_norm(carleson_density(self.mu), "line")
+
+    @cached_property
+    def operator(self):
+        return weighted_operator_norm(self.mu, seed=self.config.seed)
+
+    @cached_property
+    def invertibility(self):
+        return inverse_weighted_bound(self.mu, tol=self.config.tol, max_iter=self.config.max_iter)
+
+    @cached_property
+    def rho(self) -> MapEvaluator:
+        """The closed-form map, or the solved one; NonConvergenceError if the solve stalls."""
+        if self._closed_form is not None:
+            return self._closed_form
+        return solve_beltrami(self.mu, tol=self.config.tol, max_iter=self.config.max_iter)
+
+    @cached_property
+    def trace(self):
+        return trace_curve(self.rho, self.grid.half_width, self.config.trace_samples)
+
+    @cached_property
+    def chord_arc(self):
+        return chord_arc_constant(self.trace)
+
+    @cached_property
+    def energy(self) -> float:
+        return rectifiability_energy(self.rho.dbar_field)
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
@@ -246,52 +289,39 @@ def run_scenario(config: ScenarioConfig) -> dict:
     NonConvergenceError after writing a partial report flagged
     ``converged: false`` if the solver stalls.
     """
-    config.validate()
-    out = _resolve_out(config)
-    mu, rho = build_scenario(config)
-    grid = mu.grid
-    recorded = _as_run(config, grid)
-
+    run = _Run(config)
+    out = _output_dir(config.out_dir or default_output_root())
+    mu, grid = run.mu, run.grid
     report: dict = {
-        "document": "scenario-report",
-        "config": recorded.canonical_dict(),
-        "config_hash": recorded.config_hash(),
+        **run.header("scenario-report"),
         "grid": {"half_width": grid.half_width, "n": grid.n, "spacing": grid.spacing},
-        "mu": _mu_summary(mu),
+        "mu": {"sup_bound": mu.sup_bound, "support_radius": mu.support_radius, "norm_l2": norm(mu.field)},
+        "artifacts": {"mu_field": "mu.bin", "trace_csv": "trace.csv"},
     }
     write_field(mu.field, out / "mu.bin")
-    report["artifacts"] = {"mu_field": "mu.bin", "trace_csv": "trace.csv"}
-
-    density = carleson_density(mu)
-    report["carleson"] = carleson_norm(density, "line").to_json_dict()
-    operator = weighted_operator_norm(mu, seed=config.seed)
-    invertibility = inverse_weighted_bound(mu, tol=config.tol, max_iter=config.max_iter)
-    report["operator"] = operator.to_json_dict()
-    report["invertibility"] = invertibility.to_json_dict()
+    report["carleson"] = run.carleson.to_json_dict()
+    report["operator"] = run.operator.to_json_dict()
+    report["invertibility"] = run.invertibility.to_json_dict()
 
     try:
-        if rho is None:
-            rho = solve_beltrami(mu, tol=config.tol, max_iter=config.max_iter)
+        rho = run.rho
     except NonConvergenceError as exc:
-        report["converged"] = False
-        report["error"] = str(exc)
-        report["solver"] = None
+        report.update(converged=False, error=str(exc), solver=None)
         _write_json(out / "report.json", report)
         raise
     report["map_provenance"] = rho.provenance
     report["solver"] = rho.report.to_json_dict() if rho.report is not None else None
     report["converged"] = (
-        operator.converged
-        and invertibility.converged
+        run.operator.converged
+        and run.invertibility.converged
         and (rho.report is None or rho.report.converged)
     )
 
-    trace = trace_curve(rho, grid.half_width, config.trace_samples)
-    trace.to_csv(out / "trace.csv")
-    report["chord_arc"] = chord_arc_constant(trace).to_json_dict()
-    report["regularity"] = regularity_check(trace)
-    report["energy"] = rectifiability_energy(rho.dbar_field)
-    report["curve_operator_norm"] = curve_cauchy_operator(trace.strided(2048))
+    run.trace.to_csv(out / "trace.csv")
+    report["chord_arc"] = run.chord_arc.to_json_dict()
+    report["regularity"] = regularity_check(run.trace)
+    report["energy"] = run.energy
+    report["curve_operator_norm"] = curve_cauchy_operator(run.trace.strided(2048))
     _write_json(out / "report.json", report)
     return report
 
@@ -310,29 +340,31 @@ def compare_theorem1(
     scale exactly as t, so the slope is 2 up to rounding.  The first
     member's own budget needs no tuning, since its stopping test, a
     relative Ritz residual, is itself invariant under mu -> t*mu.
+    A member whose Carleson norm is 0 or subnormal (mu vanishes, or
+    |mu|^2 underflows, so its ratio and the slope are rounding artefacts)
+    is a ConfigError, raised before any operator norm runs.
     """
     if len(configs) < 3:
         raise ConfigError("theorem1 family needs at least 3 members")
-    members = [build_scenario(config)[0] for config in configs]
-    for i, mu in enumerate(members):
-        if mu.sup_bound == 0.0:
+    runs = [_Run(config) for config in configs]
+    if out_dir is not None:
+        out_dir = _output_dir(out_dir)
+    for i, run in enumerate(runs):
+        if not run.carleson.norm >= np.finfo(float).tiny:
             raise ConfigError(f"theorem1 member {i} has a vanishing dilatation; its ratio is undefined")
     rows = []
-    for i, (config, mu) in enumerate(zip(configs, members)):
-        carleson = carleson_norm(carleson_density(mu), "line").norm
-        stats = weighted_operator_norm(mu, seed=config.seed)
-        if i == 0:
-            mu0, budget = mu, stats.iteration_count
-        op_sq = stats.weighted_norm_estimate**2
+    for i, run in enumerate(runs):
+        op_sq = run.operator.weighted_norm_estimate**2
         rows.append(
             {
-                "label": f"{config.kind}-{i}",
-                "carleson_norm": carleson,
+                "label": f"{run.config.kind}-{i}",
+                "carleson_norm": run.carleson.norm,
                 "operator_norm_sq": op_sq,
-                "ratio": (op_sq / carleson) if carleson > 0 else None,
+                "ratio": op_sq / run.carleson.norm,
             }
         )
 
+    mu0, budget = runs[0].mu, runs[0].operator.iteration_count
     estimates = []
     for t in t_values:
         stats = weighted_operator_norm(mu0.scaled(t), tol=0.0, max_iter=budget, seed=configs[0].seed)
@@ -348,12 +380,8 @@ def compare_theorem1(
         "config_hashes": [config.config_hash() for config in configs],
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["label,carleson_norm,operator_norm_sq,ratio"]
-        for row in rows:
-            ratio = "" if row["ratio"] is None else repr(row["ratio"])
-            lines.append(f"{row['label']},{row['carleson_norm']!r},{row['operator_norm_sq']!r},{ratio}")
+        lines += [f"{r['label']},{r['carleson_norm']!r},{r['operator_norm_sq']!r},{r['ratio']!r}" for r in rows]
         lines.append(f"norm_sq_slope,,,{slope!r}")
         (out_dir / "theorem1.csv").write_text("\n".join(lines) + "\n")
         _write_json(out_dir / "theorem1.json", table)
@@ -375,39 +403,28 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     exponent.  ``converged`` is the AND of the probe solves' flags; a
     stalled Beltrami solve raises NonConvergenceError instead.
     """
-    config.validate()
-    mu, rho = build_scenario(config)
-    grid = mu.grid
-    recorded = _as_run(config, grid)
-    carleson = carleson_norm(carleson_density(mu), "line").norm
-    probes = inverse_weighted_bound(mu, tol=config.tol, max_iter=config.max_iter)
-    if rho is None:
-        rho = solve_beltrami(mu, tol=config.tol, max_iter=config.max_iter)
-    trace = trace_curve(rho, grid.half_width, config.trace_samples)
-    fine = trace_curve(rho, grid.half_width, 2 * config.trace_samples)
-    length = trace.total_length()
-    delta = abs(fine.total_length() - length) / length
-    chord_arc = chord_arc_constant(trace)
-    energy = rectifiability_energy(rho.dbar_field)
-
-    blowup = None
-    if config.kind == "prop2":
-        blowup = bilipschitz_profile(rho, _blowup_pairs(grid.half_width)).blowup_exponent
+    run = _Run(config)
+    if out_path is not None:
+        out_path = Path(out_path)
+        _output_dir(out_path.parent)
+    carleson, probes = run.carleson, run.invertibility
+    length = run.trace.total_length()
+    fine = trace_curve(run.rho, run.grid.half_width, 2 * run.config.trace_samples)
     summary = {
-        "document": "theorem2-summary",
-        "config": recorded.canonical_dict(),
-        "config_hash": recorded.config_hash(),
-        "carleson_norm": carleson,
+        **run.header("theorem2-summary"),
+        "carleson_norm": carleson.norm,
         "c1_estimate": probes.probe_c1_estimate,
-        "chord_arc_constant": chord_arc.constant,
-        "energy": energy,
-        "trace_refinement_delta": delta,
+        "chord_arc_constant": run.chord_arc.constant,
+        "energy": run.energy,
+        "trace_refinement_delta": abs(fine.total_length() - length) / length,
         "non_bilipschitz": config.kind == "prop2",
-        "blowup_exponent": blowup,
+        "blowup_exponent": (
+            bilipschitz_profile(run.rho, _blowup_pairs(run.grid.half_width)).blowup_exponent
+            if config.kind == "prop2"
+            else None
+        ),
         "converged": probes.converged,
     }
     if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_json(out_path, summary)
     return summary

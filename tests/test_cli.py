@@ -234,6 +234,35 @@ class TestErrorPaths:
         assert "vanishing dilatation" in doc["message"]
         assert not (tmp_path / "theorem1.json").exists()
 
+    @pytest.mark.parametrize("c", ["1e-200", "1e-160"])
+    def test_theorem1_underflowing_member_exit_two(self, tmp_path, c):
+        # |c|^2 underflows to 0 (1e-200) or to a subnormal (1e-160): the ratio
+        # and the slope would be rounding artefacts, and the slope a NaN
+        code, out, err = run_cli(
+            ["theorem1", "--grid-n", "64", "--c", c, "0.2", "0.4", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "vanishing dilatation" in doc["message"]
+        assert not (tmp_path / "theorem1.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "argv", [["run", "--scenario", "ball"], ["theorem1"], ["theorem2", "--scenario", "ball"]], ids=lambda a: a[0]
+    )
+    def test_unusable_out_exit_two(self, tmp_path, argv, below):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        out_dir = blocker / "sub" if below else blocker
+        code, out, err = run_cli([*argv, "--grid-n", "64", "--out", str(out_dir)])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert str(out_dir) in doc["message"]
+
     def test_non_convergence_exit_three(self, tmp_path):
         # unreachable tolerance: the solver stalls at the floating-point floor
         code, _, err = run_cli(
@@ -305,6 +334,65 @@ class TestTheorem2:
         assert code == 0
         summary = json.loads((tmp_path / "theorem2.json").read_text())
         assert summary["converged"] is False
+
+
+# every qcplane.scenarios name the benchmark's tracer rebinds for its spans
+STAGE_NAMES = (
+    "build_scenario",
+    "validate_document",
+    "write_field",
+    "carleson_density",
+    "carleson_norm",
+    "rectifiability_energy",
+    "weighted_operator_norm",
+    "inverse_weighted_bound",
+    "solve_beltrami",
+    "trace_curve",
+    "chord_arc_constant",
+    "regularity_check",
+    "curve_cauchy_operator",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        pytest.param(["run", "--scenario", "ball"], set(STAGE_NAMES), id="run"),
+        pytest.param(
+            ["theorem2", "--scenario", "prop2"],
+            {
+                "build_scenario",
+                "validate_document",
+                "carleson_density",
+                "carleson_norm",
+                "inverse_weighted_bound",
+                "trace_curve",
+                "chord_arc_constant",
+                "rectifiability_energy",
+            },
+            id="theorem2",
+        ),
+        pytest.param(
+            ["theorem1"],
+            {"build_scenario", "validate_document", "carleson_density", "carleson_norm", "weighted_operator_norm"},
+            id="theorem1",
+        ),
+    ],
+)
+def test_entry_points_reach_stages_through_module_names(tmp_path, monkeypatch, argv, reached):
+    calls = dict.fromkeys(STAGE_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in STAGE_NAMES:
+        monkeypatch.setattr(qcplane.scenarios, name, counting(name, getattr(qcplane.scenarios, name)))
+    assert run_cli([*argv, "--grid-n", "64", "--out", str(tmp_path)])[0] == 0
+    assert {name for name, count in calls.items() if count} == reached
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

@@ -1,0 +1,25 @@
+"""Scenario entry points: the stages they share report the same numbers."""
+
+import pytest
+
+from qcplane.scenarios import ScenarioConfig, compare_theorem1, run_scenario, verify_theorem2
+
+
+@pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
+def test_theorem2_matches_run(tmp_path, kind):
+    config = ScenarioConfig(kind=kind, grid_n=32, trace_samples=64, out_dir=str(tmp_path))
+    report = run_scenario(config)
+    summary = verify_theorem2(config)
+    assert summary["config_hash"] == report["config_hash"]
+    assert summary["carleson_norm"] == report["carleson"]["norm"]
+    assert summary["c1_estimate"] == report["invertibility"]["probe_c1_estimate"]
+    assert summary["chord_arc_constant"] == report["chord_arc"]["constant"]
+    assert summary["energy"] == report["energy"]
+
+
+def test_theorem1_row_matches_run(tmp_path):
+    configs = [ScenarioConfig(kind="ball", grid_n=32, c=c, out_dir=str(tmp_path)) for c in (0.2, 0.4, 0.6)]
+    row = compare_theorem1(configs)["rows"][0]
+    report = run_scenario(configs[0])
+    assert row["carleson_norm"] == report["carleson"]["norm"]
+    assert row["operator_norm_sq"] == report["operator"]["weighted_norm_estimate"] ** 2
