@@ -185,10 +185,7 @@ def neumann_solve(
 
 
 def solve_beltrami(
-    mu: BeltramiCoefficient,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    plan: SpectralPlan | None = None,
+    mu: BeltramiCoefficient, tol: float = 1e-10, max_iter: int = 200
 ) -> MapEvaluator:
     """Construct the normalized quasiconformal map rho(z) = z + Th(z).
 
@@ -201,7 +198,7 @@ def solve_beltrami(
     NonConvergenceError
         If the Neumann iteration does not reach ``tol``.
     """
-    report = neumann_solve(mu, mu.field, tol=tol, max_iter=max_iter, plan=plan)
+    report = neumann_solve(mu, mu.field, tol=tol, max_iter=max_iter)
     if not report.converged:
         raise NonConvergenceError(
             f"Neumann iteration stalled at residual {report.residual_history[-1]:.3e} "
@@ -213,13 +210,7 @@ def solve_beltrami(
         z = np.asarray(z, dtype=complex)
         return z + cauchy_at_points(h, z)
 
-    return MapEvaluator(
-        evaluate,
-        provenance="solver",
-        notes=f"rho = z + Th, support radius {h.support_radius:.4g}",
-        dbar_field=h,
-        report=report,
-    )
+    return MapEvaluator(evaluate, provenance="solver", dbar_field=h, report=report)
 
 
 def weighted_operator_norm(
@@ -288,21 +279,19 @@ def weighted_operator_norm(
     )
 
 
-def default_probes(
-    grid: Grid, noise_count: int = 8, ball_count: int = 4, seed: int = 0
-) -> list[ComplexField]:
+def default_probes(grid: Grid, noise_count: int = 8, ball_count: int = 4) -> list[ComplexField]:
     """Compactly supported probe family for invertibility measurements.
 
     Band-limited noise windowed to the half-box plus mollified balls at
     increasing heights: the window keeps every probe admissible for the
     solver, and the ball heights sample the weight 1/|y| from near the
-    axis to the far field.
+    axis to the far field.  Noise probe k is seeded with k.
     """
     L = grid.half_width
     window = indicator_ball(grid, 0.0, L / 2.0, mollify_width=L / 8.0)
     probes: list[ComplexField] = []
     for k in range(noise_count):
-        noise = bandlimited_noise(grid, seed=seed + k, cutoff=0.25)
+        noise = bandlimited_noise(grid, seed=k, cutoff=0.25)
         probes.append(
             ComplexField(grid, noise.values * window.values, support_radius=L / 2.0)
         )
@@ -319,7 +308,6 @@ def inverse_weighted_bound(
     probes: list[ComplexField] | None = None,
     tol: float = 1e-10,
     max_iter: int = 200,
-    plan: SpectralPlan | None = None,
 ) -> OperatorStats:
     """Empirical invertibility constant c1 of (I - mu S) in L^2(dm/|y|).
 
@@ -340,7 +328,7 @@ def inverse_weighted_bound(
         w_phi = norm(phi, "inv_abs_y")
         if w_phi == 0.0:
             raise ValueError("probes must be nonzero")
-        report = neumann_solve(mu, phi, tol=tol, max_iter=max_iter, plan=plan)
+        report = neumann_solve(mu, phi, tol=tol, max_iter=max_iter)
         iterations += report.iterations
         worst_residual = max(worst_residual, report.residual_history[-1])
         all_converged = all_converged and report.converged
@@ -356,11 +344,7 @@ def inverse_weighted_bound(
 
 
 def solve_inhomogeneous(
-    mu: BeltramiCoefficient,
-    f: LineFunction,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    plan: SpectralPlan | None = None,
+    mu: BeltramiCoefficient, f: LineFunction, tol: float = 1e-10, max_iter: int = 200
 ) -> tuple[ComplexField, LineFunction]:
     """Solve dbar(H) - mu d(H) = mu C'_f and restrict H to the real axis.
 
@@ -388,21 +372,19 @@ def solve_inhomogeneous(
         raise ValueError(
             "line sampling too coarse: need spacing <= grid stagger to evaluate C'_f"
         )
-    if plan is None:
-        plan = plan_for(grid)
     mask = np.abs(mu.field.values) > 0
     rhs_values = np.zeros((grid.n, grid.n), dtype=complex)
     if mask.any():
         pts = grid.points()[mask]
         rhs_values[mask] = mu.field.values[mask] * cauchy_line_derivative(f, pts)
     rhs = ComplexField(grid, rhs_values, support_radius=mu.support_radius)
-    report = neumann_solve(mu, rhs, tol=tol, max_iter=max_iter, plan=plan)
+    report = neumann_solve(mu, rhs, tol=tol, max_iter=max_iter)
     if not report.converged:
         raise NonConvergenceError(
             f"inhomogeneous solve stalled at residual {report.residual_history[-1]:.3e}"
         )
     g = report.solution
-    H = cauchy_plane(plan, g)
+    H = cauchy_plane(plan_for(grid), g)
     # sample positions must follow the LineFunction convention, which is
     # offset half a cell from the grid columns
     xs = -grid.half_width + grid.spacing * np.arange(grid.n)

@@ -45,14 +45,14 @@ class Grid:
     Parameters
     ----------
     half_width : float
-        L > 0; the domain is [-L, L]^2.
+        Finite L > 0; the domain is [-L, L]^2.
     n : int
         Samples per axis; must be a power of two, n >= 16.
     """
 
     def __init__(self, half_width: float, n: int):
-        if not half_width > 0:
-            raise ValueError(f"half_width must be positive, got {half_width}")
+        if not (np.isfinite(half_width) and half_width > 0):
+            raise ValueError(f"half_width must be finite and positive, got {half_width}")
         if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 16:
             raise ValueError(f"n must be a power of two >= 16, got {n}")
         self.half_width = float(half_width)
@@ -182,11 +182,8 @@ def integrate(f: ComplexField) -> complex:
 def _weight_values(grid: Grid, weight: str) -> np.ndarray | float:
     if weight == "unweighted":
         return 1.0
-    abs_y = np.abs(grid.y)[None, :]
     if weight == "inv_abs_y":
-        return 1.0 / abs_y
-    if weight == "abs_y":
-        return abs_y
+        return 1.0 / np.abs(grid.y)[None, :]
     raise ValueError(f"unknown weight {weight!r}")
 
 
@@ -196,10 +193,9 @@ def norm(f: ComplexField, weight: str = "unweighted") -> float:
     Parameters
     ----------
     f : ComplexField
-    weight : {'unweighted', 'inv_abs_y', 'abs_y'}
-        Weight w in (integral of |f|^2 w dm)^(1/2): the constant 1, the
-        singular weight 1/|Im z| (finite on the staggered lattice), or
-        |Im z|.
+    weight : {'unweighted', 'inv_abs_y'}
+        Weight w in (integral of |f|^2 w dm)^(1/2): the constant 1 or the
+        singular weight 1/|Im z| (finite on the staggered lattice).
 
     Returns
     -------
@@ -329,8 +325,8 @@ def read_field(path) -> ComplexField:
         raise ValueError(
             f"corrupt field file: stagger {stagger} inconsistent with grid spacing {grid.spacing}"
         )
-    payload = np.frombuffer(data, dtype="<f8")
-    values = (payload[0::2] + 1j * payload[1::2]).reshape(grid.n, grid.n)
+    # the interleaved re/im pairs are complex128 as stored, signed zeros included
+    values = np.frombuffer(data, dtype="<c16").reshape(grid.n, grid.n)
     nz = np.abs(values) > 0
     if nz.any():
         radius = float(np.abs(grid.points()[nz]).max()) + grid.spacing

@@ -44,8 +44,6 @@ class MapEvaluator:
         Vectorized complex -> complex evaluation.
     provenance : str
         One of 'solver', 'closed-form', 'extension'.
-    notes : str
-        Domain-of-validity remarks.
     dbar_field : ComplexField, optional
         The dbar(rho) grid field, set by the solver, by prop2_map and by
         the ba_extension scenario.
@@ -58,7 +56,6 @@ class MapEvaluator:
 
     func: Callable[[np.ndarray], np.ndarray]
     provenance: str
-    notes: str = ""
     dbar_field: ComplexField | None = None
     report: object | None = None
     _wirtinger: Callable | None = dataclass_field(default=None, repr=False)
@@ -148,7 +145,9 @@ class ChordArcReport:
 
 def chord_arc_witness_ratio(trace: CurveTrace, i: int, j: int) -> float:
     """Arc/chord ratio for one index pair, the witness re-evaluation path."""
-    chord = abs(trace.points[j] - trace.points[i])
+    # numpy's array abs of a complex difference, as in chord_arc_constant:
+    # the scalar abs can differ from it in the last bit
+    chord = np.abs(trace.points[[j]] - trace.points[i])[0]
     if chord == 0.0:
         raise ValueError("coincident trace points")
     return float((trace.cum_length[j] - trace.cum_length[i]) / chord)
@@ -233,9 +232,7 @@ def _node_weights(trace: CurveTrace) -> np.ndarray:
     return ds
 
 
-def curve_cauchy_operator(
-    trace: CurveTrace, tol: float = 1e-4, max_iter: int = 300, seed: int = 0
-) -> float:
+def curve_cauchy_operator(trace: CurveTrace, tol: float = 1e-4, max_iter: int = 300) -> float:
     """Operator-norm estimate of the PV Cauchy integral on the trace.
 
     The matrix M_ij = (1/2 pi i) ds_j/(gamma_j - gamma_i), i != j, acts
@@ -245,7 +242,7 @@ def curve_cauchy_operator(
         A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i),  A_ii = 0,
 
     whose top singular value is estimated by Lanczos iteration on A*A,
-    from a seeded start vector, until the relative Ritz residual
+    from a start vector drawn with seed 0, until the relative Ritz residual
     ||A*A y - theta y|| / theta is at most ``tol``.
 
     A is built in place once per call and reused by every matvec: one
@@ -272,7 +269,7 @@ def curve_cauchy_operator(
     np.fill_diagonal(kern, 0.0)
     kern *= sqrt_ds[:, None] / (2j * np.pi)
     kern *= sqrt_ds[None, :]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     history, _ = _lanczos_top(
         lambda v: -np.conj(kern @ np.conj(kern @ v)), np.vdot, v, tol, max_iter
@@ -280,27 +277,22 @@ def curve_cauchy_operator(
     return float(np.sqrt(history[-1]))
 
 
-def regularity_check(
-    trace: CurveTrace, max_centers: int = 256, radii: np.ndarray | None = None
-) -> float:
+def regularity_check(trace: CurveTrace) -> float:
     """Sup of (arclength inside B(z0, R)) / R over trace centers and dyadic R.
 
-    A segment counts as inside when its midpoint is; the segment scale
-    sets the smallest reliable radius, so the default dyadic family
-    starts at 8 median segment lengths and ends at half the trace span.
+    The centers are at most 256 evenly strided trace points.  A segment
+    counts as inside when its midpoint is; the segment scale sets the
+    smallest reliable radius, so the dyadic radii start at 8 median
+    segment lengths and end at half the trace span.
     """
-    if trace.size() < 2:
-        raise ValueError("empty trace")
     seg = trace.segment_lengths()
     mid = 0.5 * (trace.points[1:] + trace.points[:-1])
-    if radii is None:
-        r0 = 8.0 * float(np.median(seg))
-        r1 = 0.5 * float(np.abs(trace.points[-1] - trace.points[0]))
-        if r0 >= r1:
-            raise ValueError("trace too short for the dyadic radius family")
-        count = int(np.floor(np.log2(r1 / r0))) + 1
-        radii = r0 * 2.0 ** np.arange(count)
-    centers = trace.strided(max_centers).points
+    r0 = 8.0 * float(np.median(seg))
+    r1 = 0.5 * float(np.abs(trace.points[-1] - trace.points[0]))
+    if r0 >= r1:
+        raise ValueError("trace too short for the dyadic radius family")
+    radii = r0 * 2.0 ** np.arange(int(np.floor(np.log2(r1 / r0))) + 1)
+    centers = trace.strided(256).points
     best = 0.0
     for z0 in centers:
         dist = np.abs(mid - z0)
@@ -337,14 +329,14 @@ class _LineInterpolant:
         return out
 
 
-def ba_extension(f, gl_order: int = 64) -> MapEvaluator:
+def ba_extension(f) -> MapEvaluator:
     """Beurling-Ahlfors extension of an increasing boundary map of R.
 
     For y > 0, with A = int_0^1 f(x+ty) dt and B = int_0^1 f(x-ty) dt,
 
         rho = (1/2) [(1+i) A + (1-i) B],
 
-    evaluated by fixed-order Gauss-Legendre quadrature; the lower
+    evaluated by 64-point Gauss-Legendre quadrature; the lower
     half-plane is filled in by the reflection rho(conj z) = conj(rho(z)).
     The identity boundary map yields rho(x+iy) = x + iy/2, the constant
     vertical normalization of this construction.
@@ -359,21 +351,14 @@ def ba_extension(f, gl_order: int = 64) -> MapEvaluator:
     f : callable or LineFunction
         Strictly increasing real boundary data.  Sampled data is
         interpolated monotonically (PCHIP) and extended linearly.
-    gl_order : int
-        Quadrature order; the integrand is smooth for smooth f.
 
     Raises
     ------
     ValueError
         If sampled data is not strictly increasing.
     """
-    if callable(f):
-        boundary = f
-        note = "extension of callable boundary data"
-    else:
-        boundary = _LineInterpolant(f)
-        note = "extension of sampled boundary data (pchip + linear tails)"
-    nodes, weights = np.polynomial.legendre.leggauss(gl_order)
+    boundary = f if callable(f) else _LineInterpolant(f)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (nodes + 1.0)
     wt = 0.5 * weights
 
@@ -409,7 +394,7 @@ def ba_extension(f, gl_order: int = 64) -> MapEvaluator:
         pair = (0.5 * (rho_x + 1j * rho_y), 0.5 * (rho_x - 1j * rho_y))
         return tuple(np.where(flat.imag < 0, np.conj(w), w).reshape(z.shape) for w in pair)
 
-    return MapEvaluator(evaluate, provenance="extension", notes=note, _wirtinger=wirtinger)
+    return MapEvaluator(evaluate, provenance="extension", _wirtinger=wirtinger)
 
 
 def fd_wirtinger(
@@ -437,38 +422,34 @@ def fd_wirtinger(
     return dbar, d
 
 
-def _dbar_and_mu(
-    rho: MapEvaluator, grid: Grid, rel_step: float = 0.125, order: int = 6
-) -> tuple[ComplexField, BeltramiCoefficient]:
+def _dbar_and_mu(rho: MapEvaluator, grid: Grid) -> tuple[ComplexField, BeltramiCoefficient]:
     """(dbar rho, mu) on the grid, from the map's exact pair when it has one,
     else by finite differences; the support radius is the grid diagonal."""
     pts = grid.points()
     if rho._wirtinger is not None:
         dbar, d = rho._wirtinger(pts)
     else:
-        dbar, d = fd_wirtinger(rho, pts, rel_step * np.abs(pts.imag), order=order)
+        dbar, d = fd_wirtinger(rho, pts, 0.125 * np.abs(pts.imag), order=6)
     radius = float(np.sqrt(2.0) * grid.half_width)
     mu = BeltramiCoefficient(ComplexField(grid, dbar / d, support_radius=radius))
     return ComplexField(grid, dbar, support_radius=radius), mu
 
 
-def map_dilatation(
-    rho: MapEvaluator, grid: Grid, rel_step: float = 0.125, order: int = 6
-) -> BeltramiCoefficient:
+def map_dilatation(rho: MapEvaluator, grid: Grid) -> BeltramiCoefficient:
     """Dilatation mu = dbar(rho)/d(rho) sampled on the grid.
 
     A closed-form map (:func:`ba_extension`, :func:`prop2_map`) supplies
-    its exact Wirtinger pair and ``rel_step``/``order`` are unused.  Any
-    other map is differenced with step ``rel_step * |Im z|`` at each
-    sample, which keeps the stencil inside one half-plane (required for
-    maps defined by reflection) and makes the relative truncation error
-    uniform for maps with power-law behavior near the axis.
+    its exact Wirtinger pair.  Any other map is differenced by the
+    order-6 stencil with step |Im z|/8 at each sample, which keeps the
+    stencil inside one half-plane (required for maps defined by
+    reflection) and makes the relative truncation error uniform for maps
+    with power-law behavior near the axis.
 
     The result is truncated to the grid box: its declared support radius
     is the grid diagonal, so non-compact dilatations are represented by
     their restriction, reported as such.
     """
-    return _dbar_and_mu(rho, grid, rel_step, order)[1]
+    return _dbar_and_mu(rho, grid)[1]
 
 
 def prop2_map(K: float, grid: Grid) -> tuple[MapEvaluator, BeltramiCoefficient]:
@@ -517,11 +498,6 @@ def prop2_map(K: float, grid: Grid) -> tuple[MapEvaluator, BeltramiCoefficient]:
         turn = np.exp(1j * theta)
         return turn * half * (alpha - s), np.conj(turn) * half * (alpha + s)
 
-    rho = MapEvaluator(
-        evaluate,
-        provenance="closed-form",
-        notes=f"sector map, K={K}; dilatation vanishes on E0 and E1",
-        _wirtinger=wirtinger,
-    )
+    rho = MapEvaluator(evaluate, provenance="closed-form", _wirtinger=wirtinger)
     rho.dbar_field, mu = _dbar_and_mu(rho, grid)
     return rho, mu

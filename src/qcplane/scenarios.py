@@ -27,6 +27,7 @@ from .analysis import carleson_density, carleson_norm, rectifiability_energy
 from .beltrami import (
     BeltramiCoefficient,
     NonConvergenceError,
+    default_probes,
     inverse_weighted_bound,
     solve_beltrami,
     weighted_operator_norm,
@@ -58,6 +59,9 @@ __all__ = [
 OUTPUT_ROOT_ENV = "QCPLANE_OUT"
 
 SCENARIO_KINDS = ("ball", "prop2", "ba_extension", "custom-file")
+
+# the scalings t of mu -> t*mu behind theorem1's norm_sq_slope
+THEOREM1_T_VALUES = (0.2, 0.4, 0.8)
 
 
 class ConfigError(ValueError):
@@ -258,8 +262,23 @@ class _Run:
         return weighted_operator_norm(self.mu, seed=self.config.seed)
 
     @cached_property
+    def probes(self):
+        """The default probe family; ConfigError if the grid is too coarse to hold one."""
+        probes = default_probes(self.grid)
+        for k, probe in enumerate(probes):
+            if norm(probe, "inv_abs_y") == 0.0:
+                raise ConfigError(
+                    f"grid n={self.grid.n} is too coarse for the probe family: probe {k} covers no sample"
+                )
+        return probes
+
+    @cached_property
     def invertibility(self):
-        return inverse_weighted_bound(self.mu, tol=self.config.tol, max_iter=self.config.max_iter)
+        stats = inverse_weighted_bound(
+            self.mu, probes=self.probes, tol=self.config.tol, max_iter=self.config.max_iter
+        )
+        del self.probes  # 12 n x n fields, kept no longer than their solves
+        return stats
 
     @cached_property
     def rho(self) -> MapEvaluator:
@@ -290,6 +309,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     ``converged: false`` if the solver stalls.
     """
     run = _Run(config)
+    run.probes  # a grid too coarse for the probes is a ConfigError before any output
     out = _output_dir(config.out_dir or default_output_root())
     mu, grid = run.mu, run.grid
     report: dict = {
@@ -299,9 +319,11 @@ def run_scenario(config: ScenarioConfig) -> dict:
         "artifacts": {"mu_field": "mu.bin", "trace_csv": "trace.csv"},
     }
     write_field(mu.field, out / "mu.bin")
+    # the probe solves first, so the probe family checked above is freed
+    # before any other stage allocates
+    report["invertibility"] = run.invertibility.to_json_dict()
     report["carleson"] = run.carleson.to_json_dict()
     report["operator"] = run.operator.to_json_dict()
-    report["invertibility"] = run.invertibility.to_json_dict()
 
     try:
         rho = run.rho
@@ -326,21 +348,17 @@ def run_scenario(config: ScenarioConfig) -> dict:
     return report
 
 
-def compare_theorem1(
-    configs: list[ScenarioConfig],
-    t_values: tuple[float, ...] = (0.2, 0.4, 0.8),
-    out_dir: Path | str | None = None,
-) -> dict:
+def compare_theorem1(configs: list[ScenarioConfig], out_dir: Path | str | None = None) -> dict:
     """Equivalence table: Carleson norm vs weighted operator norm squared.
 
     One row per family member plus the log-log slope of the operator
-    norm squared under mu -> t*mu for the first member.  Each t runs
-    exactly as many Lanczos steps as the first member's converged run
-    took (``tol = 0``): the same start vector then gives estimates that
-    scale exactly as t, so the slope is 2 up to rounding.  The first
-    member's own budget needs no tuning, since its stopping test, a
-    relative Ritz residual, is itself invariant under mu -> t*mu.
-    A member whose Carleson norm is 0 or subnormal (mu vanishes, or
+    norm squared under mu -> t*mu, t in ``THEOREM1_T_VALUES``, for the
+    first member.  Each t runs exactly as many Lanczos steps as the first
+    member's converged run took (``tol = 0``): the same start vector then
+    gives estimates that scale exactly as t, so the slope is 2 up to
+    rounding.  The first member's own budget needs no tuning, since its
+    stopping test, a relative Ritz residual, is itself invariant under
+    mu -> t*mu.  A member whose Carleson norm is 0 or subnormal (mu vanishes, or
     |mu|^2 underflows, so its ratio and the slope are rounding artefacts)
     is a ConfigError, raised before any operator norm runs.
     """
@@ -366,16 +384,16 @@ def compare_theorem1(
 
     mu0, budget = runs[0].mu, runs[0].operator.iteration_count
     estimates = []
-    for t in t_values:
+    for t in THEOREM1_T_VALUES:
         stats = weighted_operator_norm(mu0.scaled(t), tol=0.0, max_iter=budget, seed=configs[0].seed)
         estimates.append(stats.weighted_norm_estimate)
     slope = float(
-        np.polyfit(np.log(np.asarray(t_values)), np.log(np.asarray(estimates) ** 2), 1)[0]
+        np.polyfit(np.log(np.asarray(THEOREM1_T_VALUES)), np.log(np.asarray(estimates) ** 2), 1)[0]
     )
     table = {
         "document": "theorem1-table",
         "rows": rows,
-        "t_values": [float(t) for t in t_values],
+        "t_values": [float(t) for t in THEOREM1_T_VALUES],
         "norm_sq_slope": slope,
         "config_hashes": [config.config_hash() for config in configs],
     }
@@ -404,10 +422,11 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     stalled Beltrami solve raises NonConvergenceError instead.
     """
     run = _Run(config)
+    run.probes  # a grid too coarse for the probes is a ConfigError before any output
     if out_path is not None:
         out_path = Path(out_path)
         _output_dir(out_path.parent)
-    carleson, probes = run.carleson, run.invertibility
+    probes, carleson = run.invertibility, run.carleson
     length = run.trace.total_length()
     fine = trace_curve(run.rho, run.grid.half_width, 2 * run.config.trace_samples)
     summary = {

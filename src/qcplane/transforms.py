@@ -446,22 +446,22 @@ def derivative_fd(values: np.ndarray, spacing: float, axis: int, order: int = 6)
     return out / spacing
 
 
-def _fd_partials(f: ComplexField, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic finite-difference partials (d/dx, d/dy) of a field."""
-    dx = derivative_fd(f.values, f.grid.spacing, axis=0, order=order)
-    dy = derivative_fd(f.values, f.grid.spacing, axis=1, order=order)
+def _fd_partials(f: ComplexField) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic order-6 finite-difference partials (d/dx, d/dy) of a field."""
+    dx = derivative_fd(f.values, f.grid.spacing, axis=0)
+    dy = derivative_fd(f.values, f.grid.spacing, axis=1)
     return dx, dy
 
 
-def dbar_fd(f: ComplexField, order: int = 6) -> ComplexField:
-    """Discrete dbar = (d/dx + i d/dy)/2 with periodic wrap."""
-    dx, dy = _fd_partials(f, order)
+def dbar_fd(f: ComplexField) -> ComplexField:
+    """Discrete dbar = (d/dx + i d/dy)/2, order 6, with periodic wrap."""
+    dx, dy = _fd_partials(f)
     return ComplexField(f.grid, 0.5 * (dx + 1j * dy))
 
 
-def d_fd(f: ComplexField, order: int = 6) -> ComplexField:
-    """Discrete d = (d/dx - i d/dy)/2 with periodic wrap."""
-    dx, dy = _fd_partials(f, order)
+def d_fd(f: ComplexField) -> ComplexField:
+    """Discrete d = (d/dx - i d/dy)/2, order 6, with periodic wrap."""
+    dx, dy = _fd_partials(f)
     return ComplexField(f.grid, 0.5 * (dx - 1j * dy))
 
 
@@ -510,11 +510,21 @@ def line_sample(func, half_width: float, samples: int, support_halfwidth: float 
     return LineFunction(half_width, np.asarray(func(x), dtype=complex), support_halfwidth)
 
 
-def _line_kernel_sum(f: LineFunction, pts: np.ndarray, power: int) -> np.ndarray:
-    """Chunked quadrature of sum_i f(x_i)/(x_i - z)^power."""
+def _line_kernel_sum(f: LineFunction, eval_points: np.ndarray, power: int) -> np.ndarray:
+    """Trapezoid quadrature of (1/2 pi i) int f(t)/(t - z)^power dt, in chunks.
+
+    Raises
+    ------
+    ValueError
+        If any evaluation point has |Im z| < one line spacing.
+    """
+    pts = np.asarray(eval_points, dtype=complex)
+    if np.any(np.abs(pts.imag) < f.spacing):
+        raise ValueError("evaluation too close to the line: need |Im z| >= spacing")
     nz = np.abs(f.values) > 0
     vs = f.values[nz]
-    return _chunked_kernel_sum(pts, f.x[nz], lambda diff: (diff**-power) @ vs)
+    out = _chunked_kernel_sum(pts.ravel(), f.x[nz], lambda diff: (diff**-power) @ vs)
+    return (f.spacing / (2j * np.pi) * out).reshape(pts.shape)
 
 
 def cauchy_line_extension(f: LineFunction, eval_points: np.ndarray) -> np.ndarray:
@@ -528,12 +538,7 @@ def cauchy_line_extension(f: LineFunction, eval_points: np.ndarray) -> np.ndarra
     ValueError
         If any evaluation point has |Im z| < one line spacing.
     """
-    pts = np.asarray(eval_points, dtype=complex)
-    if np.any(np.abs(pts.imag) < f.spacing):
-        raise ValueError("evaluation too close to the line: need |Im z| >= spacing")
-    scale = f.spacing / (2j * np.pi)
-    out = scale * _line_kernel_sum(f, pts.ravel(), 1)
-    return out.reshape(pts.shape)
+    return _line_kernel_sum(f, eval_points, 1)
 
 
 def cauchy_line_derivative(f: LineFunction, eval_points: np.ndarray) -> np.ndarray:
@@ -543,12 +548,7 @@ def cauchy_line_derivative(f: LineFunction, eval_points: np.ndarray) -> np.ndarr
     term).  Same quadrature and distance requirement as
     :func:`cauchy_line_extension`.
     """
-    pts = np.asarray(eval_points, dtype=complex)
-    if np.any(np.abs(pts.imag) < f.spacing):
-        raise ValueError("evaluation too close to the line: need |Im z| >= spacing")
-    scale = f.spacing / (2j * np.pi)
-    out = scale * _line_kernel_sum(f, pts.ravel(), 2)
-    return out.reshape(pts.shape)
+    return _line_kernel_sum(f, eval_points, 2)
 
 
 def _pv_multiplier(f: LineFunction) -> np.ndarray:
@@ -578,12 +578,13 @@ def plemelj_boundary(f: LineFunction) -> tuple[LineFunction, LineFunction]:
     return f_plus, f_minus
 
 
-def _khat_base(u: float, cut: float = 40.0) -> complex:
+def _khat_base(u: float) -> complex:
     """Fourier transform of K(x) = 2 log|(1+x)/x| at frequency u > 0.
 
-    Adaptive quadrature of the oscillatory integral on [-cut, cut] split
-    at the singular points -1 and 0, plus sine/cosine-integral closed
-    forms for the algebraic tails K(x) = 2/x - 1/x^2 + O(x^-3).
+    Adaptive quadrature of the oscillatory integral on [-cut, cut],
+    cut = 40, split at the singular points -1 and 0, plus
+    sine/cosine-integral closed forms for the algebraic tails
+    K(x) = 2/x - 1/x^2 + O(x^-3).
     """
     # imported here: both modules are slow to load and only this
     # transform needs them
@@ -591,6 +592,7 @@ def _khat_base(u: float, cut: float = 40.0) -> complex:
     from scipy.special import sici
 
     omega = 2.0 * np.pi * u
+    cut = 40.0
 
     def kernel(x):
         # clamp keeps the quadrature nodes that land exactly on the

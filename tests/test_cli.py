@@ -263,6 +263,36 @@ class TestErrorPaths:
         assert doc["error"] == "config"
         assert str(out_dir) in doc["message"]
 
+    @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
+    @pytest.mark.parametrize("command", ["run", "theorem2"])
+    def test_grid_too_coarse_for_probes_exit_two(self, tmp_path, command, kind):
+        # at n = 16 the lowest ball probe (radius L/16) covers no sample
+        code, out, err = run_cli([command, "--scenario", kind, "--grid-n", "16", "--out", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "too coarse for the probe family" in doc["message"]
+        for name in ("mu.bin", "report.json", "theorem2.json"):
+            assert not (tmp_path / name).exists()
+
+    def test_theorem1_runs_on_a_grid_too_coarse_for_probes(self, tmp_path):
+        code, _, _ = run_cli(["theorem1", "--grid-n", "16", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "theorem1.json").exists()
+
+    @pytest.mark.parametrize("kind", ["prop2", "ba_extension"])
+    def test_infinite_half_width_exit_two(self, tmp_path, kind):
+        code, out, err = run_cli(
+            ["run", "--scenario", kind, "--grid-l", "inf", "--grid-n", "32", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "invalid grid" in doc["message"]
+        assert not (tmp_path / "mu.bin").exists()
+
     def test_non_convergence_exit_three(self, tmp_path):
         # unreachable tolerance: the solver stalls at the floating-point floor
         code, _, err = run_cli(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qcplane as q
 
@@ -14,6 +16,8 @@ class TestGrid:
             q.Grid(8.0, 8)  # below the minimum
         with pytest.raises(ValueError):
             q.Grid(-1.0, 64)
+        with pytest.raises(ValueError):
+            q.Grid(np.inf, 64)
 
     def test_staggered_coordinates(self):
         grid = q.Grid(8.0, 64)
@@ -147,6 +151,26 @@ class TestFieldIO:
         g = q.read_field(path)
         assert g.grid == grid256
         assert np.array_equal(g.values, f.values)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        half_width=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    def test_roundtrip_bitwise_random(self, tmp_path, n, half_width, data):
+        # sparse values, down to the all-zero field; the file is rewritten per example
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cells = data.draw(st.lists(st.integers(0, n * n - 1), max_size=12, unique=True))
+        values = np.zeros(n * n, dtype=complex)
+        for cell in cells:
+            values[cell] = complex(data.draw(finite), data.draw(finite))
+        f = q.ComplexField(q.Grid(half_width, n), values.reshape(n, n))
+        path = tmp_path / "field.bin"
+        q.write_field(f, path)
+        g = q.read_field(path)
+        assert g.grid == f.grid
+        assert g.values.tobytes() == f.values.tobytes()
 
     def test_support_radius_reconstruction(self, tmp_path, grid256):
         ball = q.indicator_ball(grid256, 2j, 1.0)

@@ -84,6 +84,23 @@ class TestChordArc:
         tr = sin_trace(1024)
         assert q.chord_arc_witness_ratio(tr, *report.witness) == report.constant
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.5, 1.0), min_size=9, max_size=40),
+        data=st.data(),
+    )
+    def test_at_least_one_and_witnessed(self, steps, data):
+        # steps within a factor 2 keep at least two samples in the middle window
+        params = np.cumsum(steps)
+        coord = st.floats(-100.0, 100.0)
+        points = data.draw(
+            st.lists(st.tuples(coord, coord), min_size=params.size, max_size=params.size, unique=True)
+        )
+        trace = q.CurveTrace(params, np.array([complex(x, y) for x, y in points]))
+        report = q.chord_arc_constant(trace)
+        assert report.constant >= 1.0 - 1e-12
+        assert q.chord_arc_witness_ratio(trace, *report.witness) == report.constant
+
     def test_window_restricts_pairs(self):
         report = q.chord_arc_constant(sin_trace(1024), window_fraction=0.5)
         half = report.window_half_width
