@@ -133,6 +133,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         grid = Grid(args.grid_l, args.grid_n)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    # the sharp unit-ball image misses its 0.05 bound on a correct
+    # operator once fewer than 8 cells span the ball's radius
+    if grid.spacing > 1.0 / 8.0:
+        raise ConfigError(
+            f"grid spacing {grid.spacing:g} is too coarse for the selftest: it needs at most 1/8 "
+            "(8 cells across the unit ball's radius)"
+        )
     plan_exact = SpectralPlan(grid, padding_factor=1)
     checks: list[tuple[str, float, float]] = []
 

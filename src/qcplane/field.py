@@ -58,6 +58,12 @@ class Grid:
         self.half_width = float(half_width)
         self.n = int(n)
         self.spacing = 2.0 * self.half_width / self.n
+        # quadrature weights must be normal doubles: an area that
+        # overflows or underflows turns every norm into inf, nan or 0
+        width = 2.0 * self.half_width
+        for name, area in (("cell area", self.spacing * self.spacing), ("domain area", width * width)):
+            if not (np.isfinite(area) and area >= np.finfo(float).tiny):
+                raise ValueError(f"half_width {half_width} gives a {name} of {area}, not a normal double")
         axis = -self.half_width + (np.arange(self.n) + 0.5) * self.spacing
         axis.setflags(write=False)
         self.axis = axis

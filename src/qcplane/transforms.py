@@ -125,6 +125,14 @@ class SpectralPlan:
     256 MiB at n = 512; the boxes of a compactly supported mu keep the
     entries far smaller.  Both caches are locked and their arrays
     read-only, so a plan is safe to share across threads.
+
+    The four transforms of an apply run in place on one complex
+    workspace per plan and per thread, which grows to the largest
+    window that thread has served and is reused by every smaller one.
+    It holds at most 16 next_fast_len(2n - 1)^2 bytes, 1 MiB at n = 128
+    and 16 MiB at n = 512, and lives as long as the plan and the
+    thread.  Every apply returns a fresh array; no view of the
+    workspace reaches a caller.
     """
 
     def __init__(self, grid: Grid, padding_factor: int = 2):
@@ -151,6 +159,8 @@ class SpectralPlan:
         # so the id cannot be reused while the entry lives.
         self._kernels = _LRUCache(3)
         self._windows = _LRUCache(_WINDOW_CACHE_SIZE)
+        # each thread's FFT workspace, grown to the largest window served
+        self._local = threading.local()
 
     def apply(
         self,
@@ -199,17 +209,30 @@ class SpectralPlan:
             return np.zeros((out_r.stop - out_r.start, out_c.stop - out_c.start), dtype=complex)
         window = self._window(table, *box)
         m_rows, m_cols = window.shape
+        size = m_rows * m_cols
+        buffer = getattr(self._local, "buffer", None)
+        if buffer is None or buffer.size < size:
+            buffer = self._local.buffer = np.empty(size, dtype=complex)
+        ws = buffer[:size].reshape(m_rows, m_cols)
         # The strided column transforms run only on the input columns,
         # before the zero columns are padded in, and on the output
         # columns, after the row inverse; output cell o sits at
         # o - out.start + |I| - 1 of the convolution on each axis.
-        r0, c0 = in_r.stop - in_r.start - 1, in_c.stop - in_c.start - 1
-        spec = scipy.fft.fft(block, n=m_rows, axis=0)
-        spec = scipy.fft.fft(spec, n=m_cols, axis=1, overwrite_x=True)
-        spec *= window
-        spec = scipy.fft.ifft(spec, axis=1, overwrite_x=True)
-        band = scipy.fft.ifft(spec[:, c0 : c0 + out_c.stop - out_c.start], axis=0, overwrite_x=True)
-        return band[r0 : r0 + out_r.stop - out_r.start]
+        # scipy may ignore overwrite_x, so each result is assigned back;
+        # when it did work in place, the assignment copies nothing.
+        i_rows, i_cols = block.shape
+        r0, c0 = i_rows - 1, i_cols - 1
+        ws[:i_rows, :i_cols] = block
+        ws[i_rows:, :i_cols] = 0.0
+        ws[:, i_cols:] = 0.0
+        cols = ws[:, :i_cols]
+        cols[...] = scipy.fft.fft(cols, axis=0, overwrite_x=True)
+        ws[...] = scipy.fft.fft(ws, axis=1, overwrite_x=True)
+        ws *= window
+        ws[...] = scipy.fft.ifft(ws, axis=1, overwrite_x=True)
+        band = ws[:, c0 : c0 + out_c.stop - out_c.start]
+        band[...] = scipy.fft.ifft(band, axis=0, overwrite_x=True)
+        return band[r0 : r0 + out_r.stop - out_r.start].copy()
 
     def _window(self, table, in_r, in_c, out_r, out_c) -> np.ndarray:
         """FFT of kappa at the offsets out - in, zero-padded to a fast size."""
@@ -298,7 +321,8 @@ def _lanczos_top(
         if beta == 0.0 or (tol > 0 and residual <= tol):
             break
         betas.append(beta)
-        v_prev, v = v, w / beta
+        w /= beta
+        v_prev, v = v, w
     return history, float(residual)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from qcplane.transforms import _lanczos_top
 
 from conftest import cinf_bump
 
@@ -316,6 +317,35 @@ class TestWeightedOperatorNorm:
     def test_mu_zero_is_zero(self, mu_zero):
         stats = q.weighted_operator_norm(mu_zero)
         assert stats.weighted_norm_estimate == 0.0 and stats.converged
+
+    @pytest.mark.parametrize("padding", [2, 1])
+    def test_same_krylov_sequence_as_weighted_inner_product(self, padding):
+        # Lanczos in the weighted inner product itself, on n x n fields:
+        # A*A v = |y| S*(conj(mu) mu S v / |y|), <u, v> = area vdot(u/|y|, v)
+        grid = q.Grid(8.0, 64)
+        ball = q.indicator_ball(grid, 3j, 1.5, mollify_width=0.5)
+        mu = q.BeltramiCoefficient(ball.with_values(0.6 * ball.values, ball.support_radius))
+        plan = q.plan_for(grid, padding)
+        abs_y = np.abs(grid.y)[None, :]
+        mu_vals = mu.field.values
+
+        def apply(v):
+            av = mu_vals * plan.apply(v, plan.multiplier_s)
+            return abs_y * plan.apply(np.conj(mu_vals) * av / abs_y, plan.multiplier_s_star)
+
+        def inner(u, v):
+            return grid.cell_area() * np.vdot(u / abs_y, v)
+
+        rng = np.random.default_rng(padding)
+        start = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        if padding == 1:
+            stats = q.weighted_operator_norm(mu, plan=plan, initial=q.ComplexField(grid, start))
+        else:
+            stats = q.weighted_operator_norm(mu, seed=padding)
+        history, _ = _lanczos_top(apply, inner, start, 1e-6, 80)
+        assert stats.iteration_count == len(history)
+        rel = np.abs(np.array(stats.rayleigh_history) / np.array(history) - 1.0)
+        assert rel.max() <= 1e-12
 
 
 class TestInverseWeightedBound:

@@ -293,6 +293,20 @@ class TestErrorPaths:
         assert "invalid grid" in doc["message"]
         assert not (tmp_path / "mu.bin").exists()
 
+    @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
+    @pytest.mark.parametrize("half_width", ["1e300", "1e-300"])
+    def test_unrepresentable_cell_area_exit_two(self, tmp_path, half_width, kind):
+        # at n = 32 the cell area overflows to inf (1e300) or underflows to 0 (1e-300)
+        code, out, err = run_cli(
+            ["run", "--scenario", kind, "--grid-l", half_width, "--grid-n", "32", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "invalid grid" in doc["message"]
+        assert not (tmp_path / "mu.bin").exists()
+
     def test_non_convergence_exit_three(self, tmp_path):
         # unreachable tolerance: the solver stalls at the floating-point floor
         code, _, err = run_cli(
@@ -321,6 +335,21 @@ class TestSelftest:
         assert code == 0
         assert out.count("ok  ") == 4
         assert "FAIL" not in out
+
+    def test_coarse_grid_exit_two(self):
+        # spacing 1/4: the ball image error of a correct operator is 5.4e-2,
+        # above its 0.05 bound
+        code, out, err = run_cli(["transform-selftest", "--grid-n", "64"])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "too coarse" in doc["message"]
+
+    def test_passes_at_spacing_one_eighth(self):
+        code, out, _ = run_cli(["transform-selftest", "--grid-n", "64", "--grid-l", "4"])
+        assert code == 0
+        assert out.count("ok  ") == 4
 
 
 class TestTheorem1:

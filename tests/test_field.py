@@ -18,6 +18,10 @@ class TestGrid:
             q.Grid(-1.0, 64)
         with pytest.raises(ValueError):
             q.Grid(np.inf, 64)
+        with pytest.raises(ValueError, match="cell area of inf"):
+            q.Grid(1e300, 32)
+        with pytest.raises(ValueError, match="cell area of 0.0"):
+            q.Grid(1e-300, 32)
 
     def test_staggered_coordinates(self):
         grid = q.Grid(8.0, 64)

@@ -118,6 +118,30 @@ class TestPaddedApply:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        factor=st.sampled_from([1, 2]),
+        steps=st.lists(
+            st.tuples(st.sampled_from(TABLES), band(32), band(32), band(32), band(32), st.integers(0, 2**32 - 1)),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    def test_workspace_reuse_across_box_shapes(self, factor, steps):
+        # one plan serves windows that grow and shrink; a region left
+        # unzeroed or a result aliased to the workspace shows as a
+        # mismatch now or as a result changed by a later apply
+        plan = q.SpectralPlan(self.grid, factor)
+        kept = []
+        for table, in_rows, in_cols, out_rows, out_cols, seed in steps:
+            values = boxed_values(np.random.default_rng(seed), 32, in_rows, in_cols)
+            at, keep = (slice(*in_rows), slice(*in_cols)), (slice(*out_rows), slice(*out_cols))
+            ref = dense_apply(plan, values, getattr(plan, table))[keep]
+            got = plan.apply(values[at], getattr(plan, table), *keep, at=at)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+            kept.append((got, got.copy()))
+        assert all(np.array_equal(got, copy) for got, copy in kept)
+
     def test_block_must_fill_its_box(self):
         plan = q.plan_for(self.grid)
         with pytest.raises(ValueError, match="block"):
