@@ -218,20 +218,17 @@ class SpectralPlan:
         # before the zero columns are padded in, and on the output
         # columns, after the row inverse; output cell o sits at
         # o - out.start + |I| - 1 of the convolution on each axis.
-        # scipy may ignore overwrite_x, so each result is assigned back;
-        # when it did work in place, the assignment copies nothing.
         i_rows, i_cols = block.shape
         r0, c0 = i_rows - 1, i_cols - 1
         ws[:i_rows, :i_cols] = block
         ws[i_rows:, :i_cols] = 0.0
         ws[:, i_cols:] = 0.0
-        cols = ws[:, :i_cols]
-        cols[...] = scipy.fft.fft(cols, axis=0, overwrite_x=True)
-        ws[...] = scipy.fft.fft(ws, axis=1, overwrite_x=True)
+        _transform_in_place(scipy.fft.fft, ws[:, :i_cols], axis=0)
+        _transform_in_place(scipy.fft.fft, ws, axis=1)
         ws *= window
-        ws[...] = scipy.fft.ifft(ws, axis=1, overwrite_x=True)
+        _transform_in_place(scipy.fft.ifft, ws, axis=1)
         band = ws[:, c0 : c0 + out_c.stop - out_c.start]
-        band[...] = scipy.fft.ifft(band, axis=0, overwrite_x=True)
+        _transform_in_place(scipy.fft.ifft, band, axis=0)
         return band[r0 : r0 + out_r.stop - out_r.start].copy()
 
     def _window(self, table, in_r, in_c, out_r, out_c) -> np.ndarray:
@@ -249,6 +246,19 @@ class SpectralPlan:
 
         key = (id(table), *((s.start, s.stop) for s in (in_r, in_c, out_r, out_c)))
         return self._windows.get(key, build)[1]
+
+
+def _transform_in_place(transform, view: np.ndarray, axis: int) -> None:
+    """Overwrite ``view`` with its 1-D ``transform`` along ``axis``.
+
+    scipy may ignore ``overwrite_x`` and return a new array; only then is
+    the result copied back.  Assigning a result that already fills
+    ``view``'s memory is no no-op: numpy sees the overlap and copies
+    through a temporary, at twice the cost of a plain copy.
+    """
+    result = transform(view, axis=axis, overwrite_x=True)
+    if not np.may_share_memory(result, view):
+        view[...] = result
 
 
 def _contiguous(n: int, span: slice | None, name: str) -> slice:
@@ -321,7 +331,10 @@ def _lanczos_top(
         if beta == 0.0 or (tol > 0 and residual <= tol):
             break
         betas.append(beta)
-        w /= beta
+        # numpy divides a complex array by a real scalar as a product with
+        # its reciprocal, so this is w / beta bit for bit, without the
+        # complex division loop or a new array
+        w *= 1.0 / beta
         v_prev, v = v, w
     return history, float(residual)
 

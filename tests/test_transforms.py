@@ -142,6 +142,23 @@ class TestPaddedApply:
             kept.append((got, got.copy()))
         assert all(np.array_equal(got, copy) for got, copy in kept)
 
+    def test_scipy_ignoring_overwrite_x(self, monkeypatch):
+        # the copy-back path: every transform returns a new array
+        import scipy.fft
+
+        for name in ("fft", "ifft"):
+            original = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name, lambda x, *a, _f=original, overwrite_x=False, **k: _f(x.copy(), *a, **k))
+        plan = q.SpectralPlan(self.grid)
+        for seed, (in_rows, in_cols, rows, cols) in enumerate(
+            [((0, 32), (0, 32), (0, 32), (0, 32)), ((3, 9), (20, 31), (0, 32), (5, 7)), ((10, 12), (1, 30), (4, 20), (0, 32))]
+        ):
+            values = boxed_values(np.random.default_rng(seed), 32, in_rows, in_cols)
+            at, keep = (slice(*in_rows), slice(*in_cols)), (slice(*rows), slice(*cols))
+            ref = dense_apply(plan, values, plan.multiplier_s)[keep]
+            got = plan.apply(values[at], plan.multiplier_s, *keep, at=at)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_block_must_fill_its_box(self):
         plan = q.plan_for(self.grid)
         with pytest.raises(ValueError, match="block"):
