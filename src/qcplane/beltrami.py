@@ -255,10 +255,11 @@ def weighted_operator_norm(
     mu_vals = mu.field.values
     if not mu_vals.any():
         return OperatorStats(0.0, 0, 0.0)
-    sqrt_y = np.sqrt(np.abs(grid.y))[None, :]
+    abs_y = np.abs(grid.y)
+    sqrt_y = np.sqrt(abs_y)[None, :]
     rows, cols = box = _nonzero_box(mu_vals)
     mu_box = mu_vals[box]
-    weight_box = (mu_box.real**2 + mu_box.imag**2) / np.abs(grid.y)[None, cols]
+    weight_box = (mu_box.real**2 + mu_box.imag**2) / abs_y[None, cols]
     everywhere = (slice(0, grid.n), slice(0, grid.n))
 
     if initial is not None:

@@ -253,7 +253,7 @@ def _transform_in_place(transform, view: np.ndarray, axis: int) -> None:
 
     scipy may ignore ``overwrite_x`` and return a new array; only then is
     the result copied back.  Assigning a result that already fills
-    ``view``'s memory is no no-op: numpy sees the overlap and copies
+    ``view``'s memory is not a no-op: numpy sees the overlap and copies
     through a temporary, at twice the cost of a plain copy.
     """
     result = transform(view, axis=axis, overwrite_x=True)
@@ -283,10 +283,11 @@ def _lanczos_top(
 ) -> tuple[list[float], float]:
     """Top eigenvalue of a self-adjoint positive operator by Lanczos (1950).
 
-    ``apply(v)`` returns the operator's image of ``v`` as a fresh array
-    (A*A v, when the top singular value of A is wanted), and
-    ``inner(u, v)``, conjugate-linear in ``u``, is the inner product in
-    which the operator is self-adjoint.  The plain three-term recurrence
+    ``apply(v)`` returns the operator's image of ``v`` (A*A v, when the
+    top singular value of A is wanted) as a fresh array, which the
+    iteration then updates in place, and ``inner(u, v)``,
+    conjugate-linear in ``u``, is the inner product in which the
+    operator is self-adjoint.  The plain three-term recurrence
     keeps three vectors (v_prev, v, w) and no basis: without
     reorthogonalization the extreme Ritz value still converges reliably
     (Paige 1976, 1980).
