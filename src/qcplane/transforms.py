@@ -22,7 +22,7 @@ from collections import OrderedDict
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .field import ComplexField, Grid
 
@@ -278,6 +278,31 @@ def _nonzero_box(values: np.ndarray) -> tuple[slice, slice]:
     return spans[0], spans[1]
 
 
+def _ritz_top(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Top eigenvalue of the symmetric tridiagonal T with finite diagonal
+    ``d`` and off-diagonal ``e``, and the last component of its unit
+    eigenvector.
+
+    LAPACK's ``dstebz`` (bisection for eigenvalue k of k, tolerance 0,
+    block order) and ``dstein`` (inverse iteration) are called with the
+    arguments ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=(k - 1, k - 1))`` passes them, so the pair is that
+    call's bit for bit without its per-call overhead.  As there, a
+    nonzero ``info`` raises ``LinAlgError`` and a 1 x 1 T gives (d[0], 1)
+    without LAPACK.
+    """
+    k = d.size
+    if k == 1:
+        return float(d[0]), 1.0
+    m, top, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info != 0 or m != 1:
+        raise np.linalg.LinAlgError(f"dstebz found {m} eigenvalues (info={info})")
+    vec, info = dstein(d, e, top[:1], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein did not converge (info={info})")
+    return float(top[0]), float(vec[-1, 0])
+
+
 def _lanczos_top(
     apply, inner, start: np.ndarray, tol: float, max_iter: int
 ) -> tuple[list[float], float]:
@@ -293,9 +318,15 @@ def _lanczos_top(
     (Paige 1976, 1980).
 
     Step k takes the top eigenpair (theta_k, s_k) of the k x k
-    tridiagonal T_k by bisection and inverse iteration, which cost O(k)
-    where a dense eigensolver costs O(k^3).  The iteration stops once
-    the relative Ritz residual beta_k |s_k[-1]| / theta_k, which equals
+    tridiagonal T_k by bisection and inverse iteration (``_ritz_top``:
+    LAPACK's ``dstebz`` and ``dstein``), which cost O(k) where a dense
+    eigensolver costs O(k^3).  The pair is bit for bit that of
+    ``scipy.linalg.eigh_tridiagonal(select="i")``, and that call's checks
+    are kept: a non-finite alpha or beta raises ``ValueError``, a nonzero
+    LAPACK ``info`` raises ``LinAlgError``, and T_1 gives (alpha_1, 1).
+    A start vector of zero or non-finite norm raises ``ValueError``
+    before the first step.  The iteration stops once the relative Ritz
+    residual beta_k |s_k[-1]| / theta_k, which equals
     ||A*A y - theta_k y|| / theta_k for the Ritz vector y, is at most
     ``tol``.  With ``tol = 0`` it runs exactly ``max_iter`` steps unless
     beta_k = 0 (an exact invariant subspace) ends it earlier.
@@ -307,31 +338,34 @@ def _lanczos_top(
         ``history[-1]`` is the estimate and ``len(history)`` the step
         count.  ``residual`` is the relative Ritz residual of the last step.
     """
-    v = start / np.sqrt(inner(start, start).real)
+    norm_sq = inner(start, start).real
+    if not (np.isfinite(norm_sq) and norm_sq > 0.0):
+        raise ValueError("Lanczos start vector must have a finite nonzero norm")
+    v = start / np.sqrt(norm_sq)
     v_prev = None
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas = np.empty(max_iter)
+    betas = np.empty(max_iter)
     history: list[float] = []
     residual = np.inf
-    for _ in range(max_iter):
+    for k in range(1, max_iter + 1):
         w = apply(v)
         if v_prev is not None:
-            w -= betas[-1] * v_prev
+            w -= betas[k - 2] * v_prev
         alpha = float(inner(v, w).real)
         w -= alpha * v
         beta = float(np.sqrt(inner(w, w).real))
-        alphas.append(alpha)
-        k = len(alphas)
-        top, vec = eigh_tridiagonal(alphas, betas, select="i", select_range=(k - 1, k - 1))
-        theta = float(top[0])
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError(f"Lanczos step {k} gave a non-finite alpha or beta")
+        alphas[k - 1] = alpha
+        theta, last = _ritz_top(alphas[:k], betas[: k - 1])
         history.append(theta)
         if theta > 0:
-            residual = beta * abs(vec[-1, 0]) / theta
+            residual = beta * abs(last) / theta
         else:
             residual = 0.0 if beta == 0.0 else np.inf
         if beta == 0.0 or (tol > 0 and residual <= tol):
             break
-        betas.append(beta)
+        betas[k - 1] = beta
         # numpy divides a complex array by a real scalar as a product with
         # its reciprocal, so this is w / beta bit for bit, without the
         # complex division loop or a new array

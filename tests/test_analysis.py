@@ -3,8 +3,12 @@ weighted rectifiability energy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcplane as q
+from qcplane import analysis
+from qcplane.analysis import _dyadic_radii, _masses, _prefix
 
 # Independently computed supremum of the continuum density |mu|^2 / |Im z|
 # over the same center/radius family the sweep uses, for the 0.5-amplitude
@@ -75,8 +79,8 @@ class TestCarlesonNorm:
         with pytest.raises(ValueError):
             q.carleson_norm(signed, "line")
 
-    def test_dyadic_radii(self, grid256):
-        radii = q.dyadic_radii(grid256)
+    def test_dyadic_radius_chain(self, grid256):
+        radii = _dyadic_radii(grid256)
         assert radii[0] == 2.0 * grid256.spacing
         assert radii[-1] == grid256.half_width
         assert np.allclose(np.diff(np.log2(radii)), 1.0)
@@ -84,6 +88,61 @@ class TestCarlesonNorm:
     def test_report_serializes(self, density):
         doc = q.carleson_norm(density, "line").to_json_dict()
         assert set(doc) == {"norm", "witness", "family"}
+
+
+def full_sweep_masses(P, x, y, centers, radius):
+    """Ball masses over every grid row, massless or not: the sweep the
+    row-skipping one must reproduce bit for bit."""
+    cx = centers.real[:, None]
+    cy = centers.imag[:, None]
+    rhs = radius * radius - (y[None, :] - cy) ** 2
+    inside = rhs >= 0.0
+    half = np.sqrt(np.where(inside, rhs, 0.0))
+    lo = np.searchsorted(x, cx - half, side="left")
+    hi = np.searchsorted(x, cx + half, side="right")
+    rows = np.arange(y.size)[None, :]
+    per_row = np.where(inside, P[hi, rows] - P[lo, rows], 0.0)
+    return per_row.sum(axis=1)
+
+
+class TestRowSkippingSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_rows=st.sampled_from(["none", "some", "most", "all"]),
+        geometry=st.sampled_from(["line", "curve"]),
+    )
+    def test_matches_full_sweep(self, n, seed, zero_rows, geometry):
+        rng = np.random.default_rng(seed)
+        grid = q.Grid(rng.uniform(1.0, 16.0), n)
+        # nonnegative density with zero cells scattered through it
+        values = rng.exponential(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        values[rng.random((n, n)) < 0.3] = 0.0
+        share = {"none": 0.0, "some": 0.5, "most": 0.9, "all": 1.0}[zero_rows]
+        empty = rng.random(n) < share if share < 1.0 else np.ones(n, bool)
+        values[:, empty] = 0.0
+        nu = q.ComplexField(grid, values.astype(complex))
+        if geometry == "line":
+            centers = grid.x.astype(complex)
+            family = "line"
+        else:
+            t = np.sort(rng.uniform(-grid.half_width, grid.half_width, 40))
+            centers = t + 1j * rng.uniform(-grid.half_width, grid.half_width, 40)
+            family = q.CurveTrace(np.arange(40.0), centers)
+        P = _prefix(nu)
+        radii = np.r_[_dyadic_radii(grid), rng.uniform(0.1, 2.0, 3) * grid.half_width]
+        for r in radii:
+            got = _masses(P, grid.x, grid.y, centers, float(r))
+            ref = full_sweep_masses(P, grid.x, grid.y, centers, float(r))
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+        report = q.carleson_norm(nu, family)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_masses", full_sweep_masses)
+            full = q.carleson_norm(nu, family)
+        assert report.to_json_dict() == full.to_json_dict()
+        assert np.signbit(report.norm) == np.signbit(full.norm)
 
 
 class TestRowIntegral:

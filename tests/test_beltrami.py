@@ -1,6 +1,8 @@
 """Neumann-series solver, weighted operator norms, invertibility probes,
 and the half-plane boundary problem."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,13 @@ class TestWeightedOperatorNorm:
         bad = q.ComplexField(other, np.ones((128, 128), complex))
         with pytest.raises(ValueError):
             q.weighted_operator_norm(mu_half, initial=bad)
+
+    def test_zero_initial_rejected(self, grid256, mu_half):
+        zero = q.ComplexField(grid256, np.zeros((256, 256), complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="start vector"):
+                q.weighted_operator_norm(mu_half, initial=zero)
 
     def test_stats_serialize(self, mu_half):
         stats = q.weighted_operator_norm(mu_half)

@@ -3,14 +3,17 @@ and the difference-quotient kernel transform."""
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import qcplane as q
-from qcplane.transforms import _WINDOW_CACHE_SIZE, _lanczos_top
+from qcplane import transforms
+from qcplane.transforms import _WINDOW_CACHE_SIZE, _lanczos_top, _ritz_top
 
 TABLES = ("multiplier_s", "multiplier_s_star", "multiplier_t")
 
@@ -283,6 +286,69 @@ class TestLanczosTop:
         start = np.ones(8, dtype=complex)
         history, residual = _lanczos_top(np.zeros_like, np.vdot, start, 0.0, 50)
         assert history == [0.0] and residual == 0.0
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.zeros(8, complex), np.full(8, np.nan, complex), np.full(8, np.inf, complex)],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_rejects_bad_start(self, start):
+        # rejected up front: no division by a zero norm, so no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="start vector"):
+                _lanczos_top(lambda v: 2.0 * v, np.vdot, start, 1e-6, 10)
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_rejects_non_finite_operator(self, step):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((8, 8))
+        calls = []
+
+        def apply(v):
+            calls.append(None)
+            return np.full_like(v, np.nan) if len(calls) == step else a.T @ (a @ v)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            _lanczos_top(apply, np.vdot, np.ones(8, complex), 0.0, 10)
+        assert len(calls) == step
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(-6.0, 6.0))
+    def test_ritz_pair_matches_eigh_tridiagonal(self, k, seed, scale):
+        # random positive definite tridiagonals (diagonally dominant, with
+        # positive off-diagonals as Lanczos makes them), passed as slices
+        # of longer buffers the way _lanczos_top passes them
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(1e-3, 1.0, k - 1) * 10.0**scale
+        d = (rng.uniform(0.0, 1.0, k) + np.r_[0.0, e] + np.r_[e, 0.0]) * 10.0**scale
+        d_buf, e_buf = np.empty(300), np.empty(300)
+        d_buf[:k], e_buf[: k - 1] = d, e
+        theta, last = _ritz_top(d_buf[:k], e_buf[: k - 1])
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(k - 1, k - 1))
+        assert theta == w[0]
+        assert last == v[-1, 0]
+
+    def test_ritz_pairs_of_a_weighted_norm_run(self, monkeypatch):
+        grid = q.Grid(8.0, 64)
+        ball = q.indicator_ball(grid, 2j, 1.0, mollify_width=0.25)
+        mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values, ball.support_radius))
+        steps = []
+
+        def recording(d, e):
+            pair = _ritz_top(d, e)
+            steps.append((d.copy(), e.copy(), pair))
+            return pair
+
+        monkeypatch.setattr(transforms, "_ritz_top", recording)
+        stats = q.weighted_operator_norm(mu)
+        assert len(steps) == stats.iteration_count > 1
+        assert [theta for _, _, (theta, _) in steps] == stats.rayleigh_history
+        for d, e, (theta, last) in steps:
+            k = d.size
+            w, v = eigh_tridiagonal(d, e, select="i", select_range=(k - 1, k - 1))
+            assert theta == w[0]
+            assert last == v[-1, 0]
 
 
 class TestBeurling:
