@@ -131,11 +131,7 @@ def _dyadic_radii(grid: Grid) -> np.ndarray:
 _MAX_CURVE_CENTERS = 512
 
 
-def carleson_norm(
-    nu: ComplexField,
-    geometry: str | CurveTrace = "line",
-    radii: np.ndarray | None = None,
-) -> CarlesonReport:
+def carleson_norm(nu: ComplexField, geometry: str | CurveTrace = "line") -> CarlesonReport:
     """Sup of nu(B(x0, r))/r over a finite family of balls.
 
     Parameters
@@ -145,12 +141,11 @@ def carleson_norm(
     geometry : "line" or CurveTrace
         Centers: every grid column on the real axis, or the trace points
         (strided down to at most 512 to bound the sweep).
-    radii : array, optional
-        Defaults to the dyadic chain 2h, 4h, ..., L.
 
-    Each sweep skips the grid rows below and above those on which nu
-    has mass; the masses, the norm and the witness are bit-identical to
-    those of a sweep over every row.
+    The radii are the dyadic chain 2h, 4h, ..., L.  Each sweep skips the
+    grid rows below and above those on which nu has mass; the masses, the
+    norm and the witness are bit-identical to those of a sweep over every
+    row.
 
     The finite family undershoots the continuum supremum by at most a
     bounded factor (radius dyadic gap), which downstream comparisons
@@ -158,11 +153,7 @@ def carleson_norm(
     """
     grid = nu.grid
     P = _prefix(nu)
-    if radii is None:
-        radii = _dyadic_radii(grid)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(radii <= 0):
-        raise ValueError("radii must be positive and nonempty")
+    radii = _dyadic_radii(grid)
 
     if isinstance(geometry, CurveTrace):
         centers = geometry.strided(_MAX_CURVE_CENTERS).points

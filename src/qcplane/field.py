@@ -22,7 +22,6 @@ __all__ = [
     "bandlimited_noise",
     "write_field",
     "read_field",
-    "field_to_csv",
 ]
 
 _HEADER = struct.Struct("<dqd")  # half_width, n, stagger, little-endian
@@ -208,8 +207,18 @@ def norm(f: ComplexField, weight: str = "unweighted") -> float:
     float
     """
     w = _weight_values(f.grid, weight)
-    sq = np.abs(f.values) ** 2 * w
-    return float(np.sqrt(f.grid.cell_area() * sq.sum()))
+    area = f.grid.cell_area()
+    with np.errstate(over="ignore"):
+        total = area * (np.abs(f.values) ** 2 * w).sum()
+    if np.isfinite(total) and total >= np.finfo(float).tiny:
+        return float(np.sqrt(total))
+    # |f|^2 w overflowed or underflowed (values of order 1/L at an extreme
+    # L, say): square the values divided by the largest |value|, as
+    # np.linalg.norm does
+    scale = np.abs(f.values).max()
+    if scale == 0.0:
+        return 0.0
+    return float(np.sqrt(area * (np.abs(f.values / scale) ** 2 * w).sum()) * scale)
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -340,11 +349,3 @@ def read_field(path) -> ComplexField:
         radius = grid.spacing
     return ComplexField(grid, values, support_radius=radius)
 
-
-def field_to_csv(f: ComplexField, path) -> None:
-    """CSV export, one ``x,y,re,im`` row per sample, for plotting."""
-    pts = f.grid.points()
-    table = np.column_stack(
-        [pts.real.ravel(), pts.imag.ravel(), f.values.real.ravel(), f.values.imag.ravel()]
-    )
-    np.savetxt(path, table, delimiter=",", header="x,y,re,im", comments="")

@@ -23,7 +23,6 @@ __all__ = [
     "BilipschitzProfile",
     "trace_curve",
     "chord_arc_constant",
-    "chord_arc_witness_ratio",
     "bilipschitz_profile",
     "curve_cauchy_operator",
     "regularity_check",
@@ -143,7 +142,7 @@ class ChordArcReport:
         }
 
 
-def chord_arc_witness_ratio(trace: CurveTrace, i: int, j: int) -> float:
+def _chord_arc_witness_ratio(trace: CurveTrace, i: int, j: int) -> float:
     """Arc/chord ratio for one index pair, the witness re-evaluation path."""
     # numpy's array abs of a complex difference, as in chord_arc_constant:
     # the scalar abs can differ from it in the last bit
@@ -153,13 +152,17 @@ def chord_arc_witness_ratio(trace: CurveTrace, i: int, j: int) -> float:
     return float((trace.cum_length[j] - trace.cum_length[i]) / chord)
 
 
-def chord_arc_constant(trace: CurveTrace, window_fraction: float = 0.5) -> ChordArcReport:
+# the central fraction of a trace's parameter interval that chord_arc_constant sweeps
+_CHORD_ARC_WINDOW = 0.5
+
+
+def chord_arc_constant(trace: CurveTrace) -> ChordArcReport:
     """Max arc/chord ratio over pairs in the middle window of the trace.
 
     The sup runs over pairs whose parameters both lie in the central
-    ``window_fraction`` of the parameter interval; truncation distorts
-    arcs near the ends of a curve through infinity, so the window is
-    part of the reported quantity.
+    half of the parameter interval; truncation distorts arcs near the
+    ends of a curve through infinity, so the window is part of the
+    reported quantity.
 
     Raises
     ------
@@ -167,7 +170,7 @@ def chord_arc_constant(trace: CurveTrace, window_fraction: float = 0.5) -> Chord
         On coincident points inside the window (degenerate curve).
     """
     x = trace.params
-    half = window_fraction * 0.5 * (x[-1] - x[0])
+    half = _CHORD_ARC_WINDOW * 0.5 * (x[-1] - x[0])
     mid = 0.5 * (x[0] + x[-1])
     idx = np.nonzero(np.abs(x - mid) <= half)[0]
     if idx.size < 2:
@@ -397,22 +400,18 @@ def ba_extension(f) -> MapEvaluator:
     return MapEvaluator(evaluate, provenance="extension", _wirtinger=wirtinger)
 
 
-def fd_wirtinger(
-    rho: MapEvaluator, points: np.ndarray, steps: np.ndarray, order: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centered finite-difference Wirtinger derivatives (dbar, d) of a map.
+def fd_wirtinger(rho: MapEvaluator, points: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered order-6 finite-difference Wirtinger derivatives (dbar, d) of a map.
 
-    The stencil reaches ``(order/2) * steps`` from each point along both
-    axes; callers whose map is only piecewise smooth must keep that
-    reach inside one smooth piece.
+    The stencil reaches ``3 * steps`` from each point along both axes;
+    callers whose map is only piecewise smooth must keep that reach
+    inside one smooth piece.
     """
-    if order not in _FD_WEIGHTS:
-        raise ValueError(f"order must be one of {sorted(_FD_WEIGHTS)}")
     points = np.asarray(points, dtype=complex)
     steps = np.broadcast_to(np.asarray(steps, dtype=float), points.shape)
     fx = np.zeros(points.shape, dtype=complex)
     fy = np.zeros(points.shape, dtype=complex)
-    for m, c in enumerate(_FD_WEIGHTS[order], start=1):
+    for m, c in enumerate(_FD_WEIGHTS[6], start=1):
         fx += c * (rho(points + m * steps) - rho(points - m * steps))
         fy += c * (rho(points + 1j * m * steps) - rho(points - 1j * m * steps))
     fx /= steps
@@ -429,7 +428,7 @@ def _dbar_and_mu(rho: MapEvaluator, grid: Grid) -> tuple[ComplexField, BeltramiC
     if rho._wirtinger is not None:
         dbar, d = rho._wirtinger(pts)
     else:
-        dbar, d = fd_wirtinger(rho, pts, 0.125 * np.abs(pts.imag), order=6)
+        dbar, d = fd_wirtinger(rho, pts, 0.125 * np.abs(pts.imag))
     radius = float(np.sqrt(2.0) * grid.half_width)
     mu = BeltramiCoefficient(ComplexField(grid, dbar / d, support_radius=radius))
     return ComplexField(grid, dbar, support_radius=radius), mu

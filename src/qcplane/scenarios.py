@@ -98,36 +98,6 @@ class ScenarioConfig:
     mu_file: str | None = None
     out_dir: str | None = None
 
-    def validate(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}")
-        try:
-            grid = Grid(self.grid_l, self.grid_n)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid grid: {exc}") from exc
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
-        if self.trace_samples < 64:
-            raise ConfigError("trace_samples must be at least 64")
-        if self.kind == "ball":
-            if not abs(self.c) < 1.0:
-                raise ConfigError("ball amplitude must satisfy |c| < 1")
-            if not self.radius > 0:
-                raise ConfigError("ball radius must be positive")
-            width = self.mollify if self.mollify is not None else self.radius / 4.0
-            try:
-                indicator_ball(grid, complex(self.center), self.radius, mollify_width=width)
-            except ValueError as exc:
-                raise ConfigError(f"invalid ball: {exc}") from exc
-        elif self.kind in ("prop2", "ba_extension"):
-            if not 1.0 < self.k < 2.0:
-                raise ConfigError(f"k must lie in (1, 2), got {self.k}")
-        elif self.kind == "custom-file":
-            if not self.mu_file:
-                raise ConfigError("custom-file scenario requires mu_file")
-
     def canonical_dict(self) -> dict:
         center = complex(self.center)
         return {
@@ -168,22 +138,50 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
     solver (ball and custom-file scenarios).  A closed-form rho carries
     its ``dbar_field`` on the scenario grid, from its exact Wirtinger
     pair.
+
+    Raises
+    ------
+    ConfigError
+        On a config that names no scenario kind, or that its kind cannot
+        build: each parameter is checked before the computation that
+        uses it.
     """
-    config.validate()
-    grid = Grid(config.grid_l, config.grid_n)
+    if config.kind not in SCENARIO_KINDS:
+        raise ConfigError(f"unknown scenario kind {config.kind!r}; expected one of {SCENARIO_KINDS}")
+    try:
+        grid = Grid(config.grid_l, config.grid_n)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
+    if not config.tol > 0:
+        raise ConfigError("tol must be positive")
+    if config.max_iter < 1:
+        raise ConfigError("max_iter must be at least 1")
+    if config.trace_samples < 64:
+        raise ConfigError("trace_samples must be at least 64")
     if config.kind == "ball":
+        if not abs(config.c) < 1.0:
+            raise ConfigError("ball amplitude must satisfy |c| < 1")
+        if not config.radius > 0:
+            raise ConfigError("ball radius must be positive")
         width = config.mollify if config.mollify is not None else config.radius / 4.0
-        bump = indicator_ball(grid, complex(config.center), config.radius, mollify_width=width)
+        try:
+            bump = indicator_ball(grid, complex(config.center), config.radius, mollify_width=width)
+        except ValueError as exc:
+            raise ConfigError(f"invalid ball: {exc}") from exc
         mu = BeltramiCoefficient(bump.with_values(config.c * bump.values, bump.support_radius))
         return mu, None
-    if config.kind == "prop2":
-        rho, mu = prop2_map(config.k, grid)
-        return mu, rho
-    if config.kind == "ba_extension":
+    if config.kind in ("prop2", "ba_extension"):
+        if not 1.0 < config.k < 2.0:
+            raise ConfigError(f"k must lie in (1, 2), got {config.k}")
+        if config.kind == "prop2":
+            rho, mu = prop2_map(config.k, grid)
+            return mu, rho
         rho = ba_extension(_power_boundary(config.k))
         dbar_field, mu = _dbar_and_mu(rho, grid)
         return mu, replace(rho, dbar_field=dbar_field)
-    path = Path(config.mu_file)  # custom-file, the one kind left after validate()
+    if not config.mu_file:  # custom-file, the one kind left
+        raise ConfigError("custom-file scenario requires mu_file")
+    path = Path(config.mu_file)
     try:
         mu = BeltramiCoefficient(read_field(path))
     except (OSError, ValueError) as exc:
@@ -217,7 +215,7 @@ def validate_document(document: dict) -> None:
 
 def _write_json(path: Path, document: dict) -> None:
     validate_document(document)
-    path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _output_dir(path: Path | str) -> Path:
@@ -266,7 +264,7 @@ class _Run:
         """The default probe family; ConfigError if the grid is too coarse to hold one."""
         probes = default_probes(self.grid)
         for k, probe in enumerate(probes):
-            if norm(probe, "inv_abs_y") == 0.0:
+            if not probe.values.any():
                 raise ConfigError(
                     f"grid n={self.grid.n} is too coarse for the probe family: probe {k} covers no sample"
                 )

@@ -31,10 +31,8 @@ __all__ = [
     "SupportViolation",
     "LineFunction",
     "beurling",
-    "beurling_adjoint",
     "cauchy_plane",
     "cauchy_at_points",
-    "derivative_fd",
     "dbar_fd",
     "d_fd",
     "line_sample",
@@ -391,12 +389,6 @@ def beurling(plan: SpectralPlan, f: ComplexField) -> ComplexField:
     return ComplexField(f.grid, plan.apply(f.values, plan.multiplier_s))
 
 
-def beurling_adjoint(plan: SpectralPlan, f: ComplexField) -> ComplexField:
-    """Adjoint S* via the conjugate multiplier xi/xi_bar."""
-    _check_plan(plan, f)
-    return ComplexField(f.grid, plan.apply(f.values, plan.multiplier_s_star))
-
-
 def cauchy_plane(plan: SpectralPlan, f: ComplexField) -> ComplexField:
     """Plane Cauchy transform Tf in the mean-zero gauge.
 
@@ -474,8 +466,8 @@ def cauchy_at_points(f: ComplexField, points: np.ndarray) -> np.ndarray:
         acc = scale * (kern @ val)
         if nearmask.any():
             if grad_d is None:
-                fx = derivative_fd(f.values, h, axis=0, order=2)
-                fy = derivative_fd(f.values, h, axis=1, order=2)
+                fx = _derivative_fd(f.values, h, axis=0, order=2)
+                fy = _derivative_fd(f.values, h, axis=1, order=2)
                 grad_d = (0.5 * (fx - 1j * fy))[mask]
                 grad_db = (0.5 * (fx + 1j * fy))[mask]
             rows, cols = np.nonzero(nearmask)
@@ -505,12 +497,11 @@ def _chunked_kernel_sum(targets: np.ndarray, sources: np.ndarray, block_sum) -> 
 # order 2p, shared by the grid and the pointwise (Wirtinger) stencils.
 _FD_WEIGHTS = {
     2: (0.5,),
-    4: (2.0 / 3.0, -1.0 / 12.0),
     6: (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0),
 }
 
 
-def derivative_fd(values: np.ndarray, spacing: float, axis: int, order: int = 6) -> np.ndarray:
+def _derivative_fd(values: np.ndarray, spacing: float, axis: int, order: int = 6) -> np.ndarray:
     """Centered periodic finite difference along one axis."""
     out = np.zeros_like(values, dtype=complex)
     for s, w in enumerate(_FD_WEIGHTS[order], start=1):
@@ -520,8 +511,8 @@ def derivative_fd(values: np.ndarray, spacing: float, axis: int, order: int = 6)
 
 def _fd_partials(f: ComplexField) -> tuple[np.ndarray, np.ndarray]:
     """Periodic order-6 finite-difference partials (d/dx, d/dy) of a field."""
-    dx = derivative_fd(f.values, f.grid.spacing, axis=0)
-    dy = derivative_fd(f.values, f.grid.spacing, axis=1)
+    dx = _derivative_fd(f.values, f.grid.spacing, axis=0)
+    dy = _derivative_fd(f.values, f.grid.spacing, axis=1)
     return dx, dy
 
 
@@ -548,11 +539,9 @@ class LineFunction:
     half_width : float
         X > 0.
     values : ndarray, shape (m,)
-    support_halfwidth : float, optional
-        Declared |x| bound of the support; must be <= X/2 when given.
     """
 
-    def __init__(self, half_width: float, values: np.ndarray, support_halfwidth: float | None = None):
+    def __init__(self, half_width: float, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         if values.ndim != 1 or values.size < 16:
             raise ValueError("values must be a 1-D array with at least 16 samples")
@@ -560,13 +549,10 @@ class LineFunction:
             raise ValueError("line values must be finite")
         if half_width <= 0:
             raise ValueError("half_width must be positive")
-        if support_halfwidth is not None and support_halfwidth > half_width / 2:
-            raise SupportViolation("declared support must lie inside [-X/2, X/2]")
         self.half_width = float(half_width)
         self.values = values.copy()
         self.values.setflags(write=False)
         self.spacing = 2.0 * self.half_width / values.size
-        self.support_halfwidth = support_halfwidth
 
     @property
     def x(self) -> np.ndarray:
@@ -576,10 +562,10 @@ class LineFunction:
         return self.values.size
 
 
-def line_sample(func, half_width: float, samples: int, support_halfwidth: float | None = None) -> LineFunction:
+def line_sample(func, half_width: float, samples: int) -> LineFunction:
     """Sample a callable on the uniform line grid."""
     x = -half_width + (2.0 * half_width / samples) * np.arange(samples)
-    return LineFunction(half_width, np.asarray(func(x), dtype=complex), support_halfwidth)
+    return LineFunction(half_width, np.asarray(func(x), dtype=complex))
 
 
 def _line_kernel_sum(f: LineFunction, eval_points: np.ndarray, power: int) -> np.ndarray:

@@ -164,9 +164,7 @@ def _lemma4_g(grid, seed):
 def _lemma4_h(X, m, seed):
     rng = np.random.default_rng(seed + 1000)
     freq, phase = rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi)
-    return q.line_sample(
-        lambda x: np.cos(freq * x + phase) * cinf_bump(x / 3.0), X, m, support_halfwidth=3.0
-    )
+    return q.line_sample(lambda x: np.cos(freq * x + phase) * cinf_bump(x / 3.0), X, m)
 
 
 def _lemma4_sides(n, seed):
@@ -210,9 +208,7 @@ def _restriction_ratio(n):
     mu = q.BeltramiCoefficient(ball.with_values(0.4 * ball.values, ball.support_radius))
     X = 16.0
     m = int(round(2 * X / grid.stagger))
-    f = q.line_sample(
-        lambda x: cinf_bump(x / 3.0) * np.cos(1.3 * x / 3.0), X, m, support_halfwidth=3.0
-    )
+    f = q.line_sample(lambda x: cinf_bump(x / 3.0) * np.cos(1.3 * x / 3.0), X, m)
     _, boundary = q.solve_inhomogeneous(mu, f, tol=1e-10)
     num = np.sqrt(boundary.spacing * np.sum(np.abs(boundary.values) ** 2))
     den = np.sqrt(f.spacing * np.sum(np.abs(f.values) ** 2))

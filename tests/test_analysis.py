@@ -71,10 +71,6 @@ class TestCarlesonNorm:
     def test_validation(self, grid256, density):
         with pytest.raises(TypeError):
             q.carleson_norm(density, "circle")
-        with pytest.raises(ValueError):
-            q.carleson_norm(density, "line", radii=np.array([]))
-        with pytest.raises(ValueError):
-            q.carleson_norm(density, "line", radii=np.array([-1.0]))
         signed = q.ComplexField(grid256, -np.ones((256, 256), complex))
         with pytest.raises(ValueError):
             q.carleson_norm(signed, "line")

@@ -383,9 +383,7 @@ class TestSolveInhomogeneous:
 
     def test_mu_zero_gives_zero_correction(self, grid256, mu_zero):
         m = int(round(32.0 / grid256.stagger))
-        lf = q.line_sample(
-            lambda x: cinf_bump(x / 3.0), 16.0, m, support_halfwidth=3.0
-        )
+        lf = q.line_sample(lambda x: cinf_bump(x / 3.0), 16.0, m)
         H, boundary = q.solve_inhomogeneous(mu_zero, lf)
         assert np.max(np.abs(H.values)) == 0.0
         assert np.max(np.abs(boundary.values)) == 0.0
@@ -398,10 +396,7 @@ class TestSolveInhomogeneous:
         )
         X = 16.0
         m = int(round(2 * X / grid256.stagger))
-        lf = q.line_sample(
-            lambda x: cinf_bump(x / 3.0) * np.cos(1.3 * x / 3.0),
-            X, m, support_halfwidth=3.0,
-        )
+        lf = q.line_sample(lambda x: cinf_bump(x / 3.0) * np.cos(1.3 * x / 3.0), X, m)
         H, boundary = q.solve_inhomogeneous(mu, lf, tol=1e-10)
 
         z = grid256.points()
@@ -416,10 +411,7 @@ class TestSolveInhomogeneous:
 
         hb = (np.cos(0.8 * boundary.x + 0.3) * cinf_bump(boundary.x / 3.0)).astype(complex)
         lhs = np.sum(boundary.values * hb) * boundary.spacing
-        hf = q.line_sample(
-            lambda x: np.cos(0.8 * x + 0.3) * cinf_bump(x / 3.0),
-            X, m, support_halfwidth=3.0,
-        )
+        hf = q.line_sample(lambda x: np.cos(0.8 * x + 0.3) * cinf_bump(x / 3.0), X, m)
         nz = np.abs(g.values) > 0
         rhs = 2j * np.sum(g.values[nz] * q.cauchy_line_extension(hf, z[nz])) * grid256.cell_area()
         assert abs(lhs - rhs) / abs(rhs) <= 1e-3
@@ -429,6 +421,6 @@ class TestSolveInhomogeneous:
             ball256.with_values(0.5 * ball256.values, ball256.support_radius)
         )
         m = int(round(32.0 / grid256.stagger))
-        lf = q.line_sample(lambda x: cinf_bump(x / 3.0), 16.0, m, support_halfwidth=3.0)
+        lf = q.line_sample(lambda x: cinf_bump(x / 3.0), 16.0, m)
         with pytest.raises(q.NonConvergenceError):
             q.solve_inhomogeneous(mu, lf, tol=1e-12, max_iter=1)

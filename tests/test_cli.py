@@ -307,6 +307,37 @@ class TestErrorPaths:
         assert "invalid grid" in doc["message"]
         assert not (tmp_path / "mu.bin").exists()
 
+    @pytest.mark.parametrize(
+        "kind, half_width, reason",
+        [
+            ("ball", "1e-150", "escapes the domain"),
+            ("ball", "1e150", None),
+            ("prop2", "1e-150", None),
+            ("prop2", "1e150", None),
+            ("ba_extension", "1e-150", None),
+            ("ba_extension", "1e150", None),
+        ],
+    )
+    def test_extreme_half_width_writes_no_nan(self, tmp_path, kind, half_width, reason):
+        # probe values of order 1/L square to inf (1e-150) or to 0 (1e150),
+        # and the 1e-150 box cannot hold the ball B(4i, 1)
+        code, _, err = run_cli(
+            ["run", "--scenario", kind, "--grid-l", half_width, "--grid-n", "32", "--out", str(tmp_path)]
+        )
+        if reason is not None:
+            assert code == 2
+            doc = json.loads(err.strip())
+            assert doc["error"] == "config"
+            assert reason in doc["message"]
+            return
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        validate_document(report)
+
     def test_non_convergence_exit_three(self, tmp_path):
         # unreachable tolerance: the solver stalls at the floating-point floor
         code, _, err = run_cli(

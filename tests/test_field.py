@@ -69,6 +69,16 @@ class TestComplexField:
         with pytest.raises(ValueError):
             q.norm(f, "no-such-weight")
 
+    @pytest.mark.parametrize("half_width", [1e-150, 1e150])
+    def test_norm_scale_covariance(self, half_width):
+        # values of order 1/L: |f|^2 / |y| overflows at 1e-150 and underflows at 1e150
+        values = np.random.default_rng(0).standard_normal((32, 32)) + 0j
+        unit = q.ComplexField(q.Grid(1.0, 32), values)
+        scaled = q.ComplexField(q.Grid(half_width, 32), values / half_width)
+        assert q.norm(scaled) == pytest.approx(q.norm(unit), rel=1e-12, abs=0.0)
+        expected = q.norm(unit, "inv_abs_y") / np.sqrt(half_width)
+        assert q.norm(scaled, "inv_abs_y") == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestIndicatorBall:
     def test_validation(self, grid256):
@@ -194,11 +204,3 @@ class TestFieldIO:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError):
             q.read_field(path)
-
-    def test_csv_export(self, tmp_path, grid256):
-        ball = q.indicator_ball(grid256, 2j, 1.0)
-        path = tmp_path / "field.csv"
-        q.field_to_csv(ball, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,re,im"
-        assert len(lines) == 1 + 256 * 256

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from qcplane.geometry import _chord_arc_witness_ratio
 
 # Frozen dense-discretization oracles for the sin curve t + 0.3i sin t on
 # [-2pi, 2pi]: the same sweeps evaluated on a 10x finer trace (10240 points,
@@ -82,7 +83,7 @@ class TestChordArc:
     def test_witness_reproduces_constant(self):
         report = q.chord_arc_constant(sin_trace(1024))
         tr = sin_trace(1024)
-        assert q.chord_arc_witness_ratio(tr, *report.witness) == report.constant
+        assert _chord_arc_witness_ratio(tr, *report.witness) == report.constant
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -99,10 +100,10 @@ class TestChordArc:
         trace = q.CurveTrace(params, np.array([complex(x, y) for x, y in points]))
         report = q.chord_arc_constant(trace)
         assert report.constant >= 1.0 - 1e-12
-        assert q.chord_arc_witness_ratio(trace, *report.witness) == report.constant
+        assert _chord_arc_witness_ratio(trace, *report.witness) == report.constant
 
     def test_window_restricts_pairs(self):
-        report = q.chord_arc_constant(sin_trace(1024), window_fraction=0.5)
+        report = q.chord_arc_constant(sin_trace(1024))
         half = report.window_half_width
         assert half == pytest.approx(np.pi)
         assert report.sample_count < 1024
@@ -238,7 +239,7 @@ class TestBaExtension:
         upper = rng.uniform(-4, 4, 100) + 1j * rng.uniform(0.2, 4, 100)
         for zs in (upper, np.conj(upper)):
             dbar, d = rho._wirtinger(zs)
-            fd_dbar, fd_d = q.fd_wirtinger(rho, zs, 1e-3 * np.abs(zs.imag), order=6)
+            fd_dbar, fd_d = q.fd_wirtinger(rho, zs, 1e-3 * np.abs(zs.imag))
             scale = np.max(np.abs(fd_d))
             assert np.max(np.abs(dbar - fd_dbar)) <= 1e-7 * scale
             assert np.max(np.abs(d - fd_d)) <= 1e-7 * scale
@@ -259,7 +260,7 @@ class TestFdWirtinger:
     def test_polynomial_derivatives(self):
         rho = q.MapEvaluator(lambda z: z**2 + 0.3 * np.conj(z), provenance="closed-form")
         pts = np.array([1.0 + 1.0j, -2.0 + 0.5j, 0.3 - 1.2j])
-        dbar, d = q.fd_wirtinger(rho, pts, 1e-2 * np.ones(3), order=6)
+        dbar, d = q.fd_wirtinger(rho, pts, 1e-2 * np.ones(3))
         assert np.max(np.abs(dbar - 0.3)) <= 1e-9
         assert np.max(np.abs(d - 2.0 * pts)) <= 1e-9
 
@@ -267,11 +268,6 @@ class TestFdWirtinger:
         rho = q.MapEvaluator(lambda z: z + 0.3 * np.conj(z), provenance="closed-form")
         mu = q.map_dilatation(rho, q.Grid(4.0, 32))
         assert np.max(np.abs(mu.field.values - 0.3)) <= 1e-10
-
-    def test_order_validation(self):
-        rho = q.MapEvaluator(lambda z: z, provenance="closed-form")
-        with pytest.raises(ValueError):
-            q.fd_wirtinger(rho, np.array([1.0 + 0j]), np.array([0.1]), order=3)
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +323,7 @@ class TestSectorMap:
         ray_gap = np.min(np.abs(np.abs(np.angle(z))[:, None] - [0.25 * np.pi, 0.75 * np.pi]), axis=1)
         z = z[(ray_gap > 0.05) & (np.abs(z) > 0.5)]
         dbar, d = rho._wirtinger(z)
-        fd_dbar, fd_d = q.fd_wirtinger(rho, z, 1e-4 * np.abs(z), order=6)
+        fd_dbar, fd_d = q.fd_wirtinger(rho, z, 1e-4 * np.abs(z))
         assert np.max(np.abs(dbar - fd_dbar) / np.abs(fd_d)) <= 1e-7
         assert np.max(np.abs(d - fd_d) / np.abs(fd_d)) <= 1e-7
 

@@ -2,7 +2,22 @@
 
 import pytest
 
-from qcplane.scenarios import ScenarioConfig, compare_theorem1, run_scenario, verify_theorem2
+import qcplane.scenarios
+from qcplane.scenarios import ScenarioConfig, build_scenario, compare_theorem1, run_scenario, verify_theorem2
+
+
+def test_build_scenario_builds_the_ball_once(monkeypatch):
+    calls = []
+    indicator_ball = qcplane.scenarios.indicator_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return indicator_ball(*args, **kwargs)
+
+    monkeypatch.setattr(qcplane.scenarios, "indicator_ball", counted)
+    _, rho = build_scenario(ScenarioConfig(kind="ball", grid_n=32))
+    assert len(calls) == 1
+    assert rho is None
 
 
 @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
