@@ -3,9 +3,9 @@ and the rectifiability energy of a dbar field.
 
 The Carleson norm of a nonnegative density nu is the supremum of
 nu(B(x0, r))/r over a finite family of balls: centers on the real axis
-(or on a traced curve) and dyadic radii.  Ball masses are computed from
-per-row prefix sums so that re-evaluating the reported witness goes
-through the identical arithmetic as the sweep.
+and dyadic radii.  Ball masses are computed from per-row prefix sums so
+that re-evaluating the reported witness goes through the identical
+arithmetic as the sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import BeltramiCoefficient, ComplexField, Grid, norm
-from .geometry import CurveTrace
 
 __all__ = [
     "CarlesonReport",
@@ -128,24 +127,18 @@ def _dyadic_radii(grid: Grid) -> np.ndarray:
     return 2.0 * grid.spacing * 2.0 ** np.arange(count)
 
 
-_MAX_CURVE_CENTERS = 512
-
-
-def carleson_norm(nu: ComplexField, geometry: str | CurveTrace = "line") -> CarlesonReport:
+def carleson_norm(nu: ComplexField) -> CarlesonReport:
     """Sup of nu(B(x0, r))/r over a finite family of balls.
 
     Parameters
     ----------
     nu : ComplexField
         Real, nonnegative density on the grid.
-    geometry : "line" or CurveTrace
-        Centers: every grid column on the real axis, or the trace points
-        (strided down to at most 512 to bound the sweep).
 
-    The radii are the dyadic chain 2h, 4h, ..., L.  Each sweep skips the
-    grid rows below and above those on which nu has mass; the masses, the
-    norm and the witness are bit-identical to those of a sweep over every
-    row.
+    The centers are the grid columns on the real axis and the radii the
+    dyadic chain 2h, 4h, ..., L.  Each sweep skips the grid rows below
+    and above those on which nu has mass; the masses, the norm and the
+    witness are bit-identical to those of a sweep over every row.
 
     The finite family undershoots the continuum supremum by at most a
     bounded factor (radius dyadic gap), which downstream comparisons
@@ -154,24 +147,13 @@ def carleson_norm(nu: ComplexField, geometry: str | CurveTrace = "line") -> Carl
     grid = nu.grid
     P = _prefix(nu)
     radii = _dyadic_radii(grid)
-
-    if isinstance(geometry, CurveTrace):
-        centers = geometry.strided(_MAX_CURVE_CENTERS).points
-        family = {
-            "geometry": "curve",
-            "center_count": int(centers.size),
-            "radii": [float(r) for r in radii],
-        }
-    elif geometry == "line":
-        centers = grid.x.astype(complex)
-        family = {
-            "geometry": "line",
-            "center_count": int(centers.size),
-            "center_spacing": grid.spacing,
-            "radii": [float(r) for r in radii],
-        }
-    else:
-        raise TypeError(f"geometry must be 'line' or a CurveTrace, got {geometry!r}")
+    centers = grid.x.astype(complex)
+    family = {
+        "geometry": "line",
+        "center_count": int(centers.size),
+        "center_spacing": grid.spacing,
+        "radii": [float(r) for r in radii],
+    }
 
     best = -1.0
     best_center = complex(centers[0])

@@ -48,16 +48,13 @@ class NonConvergenceError(RuntimeError):
 _plans = _LRUCache(8)
 
 
-def plan_for(grid: Grid, padding_factor: int = 2) -> SpectralPlan:
-    """Shared spectral plan for a grid, from a least-recently-used cache.
-
-    The cache key is the pair (grid, padding_factor) however it is
-    spelled, so ``plan_for(g)``, ``plan_for(g, 2)`` and
-    ``plan_for(g, padding_factor=2)`` return one plan, with one set of
-    kernel and window caches.  Plans are safe to share across threads,
-    so caching is safe.
+def plan_for(grid: Grid) -> SpectralPlan:
+    """Shared padding-2 spectral plan for a grid, from a least-recently-used
+    cache keyed on the grid, so equal grids share one plan with one set of
+    kernel and window caches.  Plans are safe to share across threads, so
+    caching is safe.  The periodic model is ``SpectralPlan(grid, 1)``.
     """
-    return _plans.get((grid, padding_factor), lambda: SpectralPlan(grid, padding_factor))
+    return _plans.get(grid, lambda: SpectralPlan(grid))
 
 
 def _field_summary(f: ComplexField) -> dict:
@@ -122,7 +119,6 @@ def neumann_solve(
     phi: ComplexField,
     tol: float = 1e-10,
     max_iter: int = 200,
-    plan: SpectralPlan | None = None,
 ) -> SolveReport:
     """Solve (I - mu S) h = Phi by the fixed-point iteration h <- Phi + mu S h.
 
@@ -138,17 +134,19 @@ def neumann_solve(
         Right-hand side; compact support must be declared.
     tol : float
     max_iter : int
-    plan : SpectralPlan, optional
-        Defaults to the cached padding-2 plan of the grid.
+        At least 1.
+
+    The products run on the grid's cached padding-2 plan.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if phi.grid != mu.grid:
         raise ValueError("phi grid does not match mu grid")
     if phi.support_radius is None:
         raise ValueError("neumann_solve requires a right-hand side with declared support")
-    if plan is None:
-        plan = plan_for(mu.grid)
+    plan = plan_for(mu.grid)
     support = max(mu.support_radius, phi.support_radius)
     area = mu.grid.cell_area()
     # Each iterate is h_k = Phi + c_k with c_k = mu S h_{k-1}, which
@@ -217,9 +215,7 @@ def weighted_operator_norm(
     mu: BeltramiCoefficient,
     tol: float = 1e-6,
     max_iter: int = 80,
-    plan: SpectralPlan | None = None,
     seed: int = 0,
-    initial: ComplexField | None = None,
 ) -> OperatorStats:
     """Norm estimate of A = mu S on L^2(dm/|y|) by Lanczos on A*A.
 
@@ -229,9 +225,9 @@ def weighted_operator_norm(
     by interlacing.  ``tol`` bounds the relative Ritz residual
     ||A*A y - theta y||_w / theta; with ``tol = 0`` exactly ``max_iter``
     steps run, which makes scaling comparisons deterministic.  The
-    iteration holds three n x n vectors.  ``initial`` overrides the
-    seeded start vector, which lets symmetry checks run unitarily
-    equivalent iterations.
+    iteration holds three n x n vectors and starts from complex Gaussian
+    noise drawn with ``seed``.  The products run on the grid's cached
+    padding-2 plan.
 
     Lanczos runs on x = v / sqrt|y|, in which the weighted inner product
     is the plain one up to the cell area, a constant that normalisation
@@ -240,7 +236,7 @@ def weighted_operator_norm(
     from the grid to B and S* from B back to the grid, with |mu|^2/|y|
     precomputed on B.  The tridiagonal matrices, hence the Ritz values
     and step counts, are those of the iteration in v up to rounding;
-    ``initial`` is a vector v.
+    the seeded noise is the start vector v.
 
     Returns
     -------
@@ -249,9 +245,8 @@ def weighted_operator_norm(
         rayleigh_history = the Ritz values, iteration_count = Lanczos
         steps, relative_change_at_stop = |theta_k - theta_{k-1}| / theta_k.
     """
-    if plan is None:
-        plan = plan_for(mu.grid)
     grid = mu.grid
+    plan = plan_for(grid)
     mu_vals = mu.field.values
     if not mu_vals.any():
         return OperatorStats(0.0, 0, 0.0)
@@ -262,13 +257,8 @@ def weighted_operator_norm(
     weight_box = (mu_box.real**2 + mu_box.imag**2) / abs_y[None, cols]
     everywhere = (slice(0, grid.n), slice(0, grid.n))
 
-    if initial is not None:
-        if initial.grid != grid:
-            raise ValueError("initial vector lives on a different grid")
-        v = initial.values.astype(complex)
-    else:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
 
     def apply(x: np.ndarray) -> np.ndarray:
         s_box = plan.apply(sqrt_y * x, plan.multiplier_s, rows, cols, at=everywhere)

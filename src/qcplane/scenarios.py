@@ -253,7 +253,7 @@ class _Run:
 
     @cached_property
     def carleson(self):
-        return carleson_norm(carleson_density(self.mu), "line")
+        return carleson_norm(carleson_density(self.mu))
 
     @cached_property
     def operator(self):

@@ -139,7 +139,6 @@ class SpectralPlan:
         self.grid = grid
         self.padding_factor = int(padding_factor)
         self.n_padded = self.padding_factor * grid.n
-        self.offset = (self.n_padded - grid.n) // 2
         freq = np.fft.fftfreq(self.n_padded, d=grid.spacing)
         xi = freq[:, None] + 1j * freq[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -322,9 +321,9 @@ def _lanczos_top(
     ``scipy.linalg.eigh_tridiagonal(select="i")``, and that call's checks
     are kept: a non-finite alpha or beta raises ``ValueError``, a nonzero
     LAPACK ``info`` raises ``LinAlgError``, and T_1 gives (alpha_1, 1).
-    A start vector of zero or non-finite norm raises ``ValueError``
-    before the first step.  The iteration stops once the relative Ritz
-    residual beta_k |s_k[-1]| / theta_k, which equals
+    A ``max_iter`` below 1 or a start vector of zero or non-finite norm
+    raises ``ValueError`` before the first step.  The iteration stops
+    once the relative Ritz residual beta_k |s_k[-1]| / theta_k, which equals
     ||A*A y - theta_k y|| / theta_k for the Ritz vector y, is at most
     ``tol``.  With ``tol = 0`` it runs exactly ``max_iter`` steps unless
     beta_k = 0 (an exact invariant subspace) ends it earlier.
@@ -336,6 +335,8 @@ def _lanczos_top(
         ``history[-1]`` is the estimate and ``len(history)`` the step
         count.  ``residual`` is the relative Ritz residual of the last step.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     norm_sq = inner(start, start).real
     if not (np.isfinite(norm_sq) and norm_sq > 0.0):
         raise ValueError("Lanczos start vector must have a finite nonzero norm")
@@ -557,9 +558,6 @@ class LineFunction:
     @property
     def x(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.values.size)
-
-    def size(self) -> int:
-        return self.values.size
 
 
 def line_sample(func, half_width: float, samples: int) -> LineFunction:

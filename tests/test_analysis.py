@@ -38,17 +38,17 @@ class TestCarlesonDensity:
 
 class TestCarlesonNorm:
     def test_against_radial_oracle(self, density):
-        report = q.carleson_norm(density, "line")
+        report = q.carleson_norm(density)
         assert abs(report.norm / RADIAL_ORACLE - 1.0) <= 0.05
 
     def test_homogeneity(self, mu_half, density):
         scaled = q.carleson_density(mu_half.scaled(0.5))
-        a = q.carleson_norm(density, "line").norm
-        b = q.carleson_norm(scaled, "line").norm
+        a = q.carleson_norm(density).norm
+        b = q.carleson_norm(scaled).norm
         assert abs(b - 0.25 * a) <= 1e-12 * a
 
     def test_witness_reproduces(self, density):
-        report = q.carleson_norm(density, "line")
+        report = q.carleson_norm(density)
         mass = q.ball_mass(density, report.witness_center, report.witness_radius)
         assert mass == report.witness_mass
         assert report.norm == report.witness_mass / report.witness_radius
@@ -59,21 +59,12 @@ class TestCarlesonNorm:
                 ball256.with_values(0.3 * ball256.values, ball256.support_radius)
             )
         )
-        assert q.carleson_norm(smaller, "line").norm < q.carleson_norm(density, "line").norm
-
-    def test_curve_geometry(self, density):
-        t = np.linspace(-8.0, 8.0, 257)
-        trace = q.CurveTrace(t, t + 0.2j * np.sin(t))
-        report = q.carleson_norm(density, trace)
-        assert report.family["geometry"] == "curve"
-        assert report.norm > 0.0
+        assert q.carleson_norm(smaller).norm < q.carleson_norm(density).norm
 
     def test_validation(self, grid256, density):
-        with pytest.raises(TypeError):
-            q.carleson_norm(density, "circle")
         signed = q.ComplexField(grid256, -np.ones((256, 256), complex))
         with pytest.raises(ValueError):
-            q.carleson_norm(signed, "line")
+            q.carleson_norm(signed)
 
     def test_dyadic_radius_chain(self, grid256):
         radii = _dyadic_radii(grid256)
@@ -82,7 +73,7 @@ class TestCarlesonNorm:
         assert np.allclose(np.diff(np.log2(radii)), 1.0)
 
     def test_report_serializes(self, density):
-        doc = q.carleson_norm(density, "line").to_json_dict()
+        doc = q.carleson_norm(density).to_json_dict()
         assert set(doc) == {"norm", "witness", "family"}
 
 
@@ -107,9 +98,10 @@ class TestRowSkippingSweep:
         n=st.sampled_from([16, 32, 64]),
         seed=st.integers(0, 2**32 - 1),
         zero_rows=st.sampled_from(["none", "some", "most", "all"]),
-        geometry=st.sampled_from(["line", "curve"]),
+        geometry=st.sampled_from(["line", "off-axis"]),
     )
     def test_matches_full_sweep(self, n, seed, zero_rows, geometry):
+        # _masses accepts any centers; carleson_norm sweeps the line family
         rng = np.random.default_rng(seed)
         grid = q.Grid(rng.uniform(1.0, 16.0), n)
         # nonnegative density with zero cells scattered through it
@@ -121,11 +113,9 @@ class TestRowSkippingSweep:
         nu = q.ComplexField(grid, values.astype(complex))
         if geometry == "line":
             centers = grid.x.astype(complex)
-            family = "line"
         else:
             t = np.sort(rng.uniform(-grid.half_width, grid.half_width, 40))
             centers = t + 1j * rng.uniform(-grid.half_width, grid.half_width, 40)
-            family = q.CurveTrace(np.arange(40.0), centers)
         P = _prefix(nu)
         radii = np.r_[_dyadic_radii(grid), rng.uniform(0.1, 2.0, 3) * grid.half_width]
         for r in radii:
@@ -133,10 +123,10 @@ class TestRowSkippingSweep:
             ref = full_sweep_masses(P, grid.x, grid.y, centers, float(r))
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
-        report = q.carleson_norm(nu, family)
+        report = q.carleson_norm(nu)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_masses", full_sweep_masses)
-            full = q.carleson_norm(nu, family)
+            full = q.carleson_norm(nu)
         assert report.to_json_dict() == full.to_json_dict()
         assert np.signbit(report.norm) == np.signbit(full.norm)
 

@@ -1,8 +1,6 @@
 """Neumann-series solver, weighted operator norms, invertibility probes,
 and the half-plane boundary problem."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,22 +75,20 @@ class TestNeumannSolve:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        factor=st.sampled_from([1, 2]),
         mu_rows=span_within(0, 32, 12),
         mu_cols=span_within(0, 32, 12),
         relations=st.tuples(*[st.sampled_from(["disjoint", "overlaps", "contains"])] * 2),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_box_local_matches_full_iteration(self, factor, mu_rows, mu_cols, relations, seed, data):
+    def test_box_local_matches_full_iteration(self, mu_rows, mu_cols, relations, seed, data):
         # Phi is disjoint from, overlaps or contains mu's box on each axis
         phi_rows = data.draw(phi_span(32, mu_rows, relations[0]))
         phi_cols = data.draw(phi_span(32, mu_cols, relations[1]))
         mu = q.BeltramiCoefficient(boxed_field(self.grid32, mu_rows, mu_cols, seed, 0.6))
         phi = boxed_field(self.grid32, phi_rows, phi_cols, seed + 1)
-        plan = q.plan_for(self.grid32, factor)
-        report = q.neumann_solve(mu, phi, plan=plan)
-        ref, history = reference_solve(mu, phi, plan)
+        report = q.neumann_solve(mu, phi)
+        ref, history = reference_solve(mu, phi, q.plan_for(self.grid32))
         assert report.converged and report.iterations == len(history)
         got = report.solution.values
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -101,9 +97,8 @@ class TestNeumannSolve:
     def test_one_cell_mu_box(self):
         mu = q.BeltramiCoefficient(boxed_field(self.grid32, (9, 10), (20, 21), 3, 0.6))
         phi = boxed_field(self.grid32, (4, 28), (2, 30), 4)
-        plan = q.plan_for(self.grid32)
-        report = q.neumann_solve(mu, phi, plan=plan)
-        ref, history = reference_solve(mu, phi, plan)
+        report = q.neumann_solve(mu, phi)
+        ref, history = reference_solve(mu, phi, q.plan_for(self.grid32))
         assert report.iterations == len(history) > 1
         assert np.linalg.norm(report.solution.values - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -114,7 +109,7 @@ class TestNeumannSolve:
         assert report.residual_history == [0.0]
         assert not report.solution.values.any()
 
-    def test_iteration_stays_on_mu_box(self):
+    def test_iteration_stays_on_mu_box(self, monkeypatch):
         # one apply per iteration: the source from Phi's box to mu's box,
         # then blocks on mu's box, with no n x n input
         mu = q.BeltramiCoefficient(boxed_field(self.grid32, (10, 16), (12, 20), 5, 0.6))
@@ -127,7 +122,8 @@ class TestNeumannSolve:
             return q.SpectralPlan.apply(plan, values, table, rows, cols, at)
 
         plan.apply = apply
-        report = q.neumann_solve(mu, phi, plan=plan)
+        monkeypatch.setattr("qcplane.beltrami.plan_for", lambda grid: plan)
+        report = q.neumann_solve(mu, phi)
         box = (slice(10, 16), slice(12, 20))
         assert len(calls) == report.iterations > 1
         assert calls[0] == ((28, 4), *box, (slice(2, 30), slice(4, 8)))
@@ -253,45 +249,6 @@ class TestWeightedOperatorNorm:
         dev = abs(scaled.weighted_norm_estimate - 0.37 * base.weighted_norm_estimate)
         assert dev <= 1e-10
 
-    def test_translation_invariance(self, grid256, mu_half):
-        # the periodic plan makes a grid shift an exact symmetry, provided
-        # the initial vector is shifted along with the coefficient
-        plan = q.plan_for(grid256, padding_factor=1)
-        shift = 16
-        shifted = q.BeltramiCoefficient(
-            q.ComplexField(
-                grid256,
-                np.roll(mu_half.field.values, shift, axis=0),
-                support_radius=mu_half.support_radius + shift * grid256.spacing,
-            )
-        )
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-        a = q.weighted_operator_norm(
-            mu_half, tol=0.0, max_iter=40, plan=plan, initial=q.ComplexField(grid256, v0)
-        )
-        b = q.weighted_operator_norm(
-            shifted,
-            tol=0.0,
-            max_iter=40,
-            plan=plan,
-            initial=q.ComplexField(grid256, np.roll(v0, shift, axis=0)),
-        )
-        assert abs(a.weighted_norm_estimate - b.weighted_norm_estimate) <= 1e-10
-
-    def test_initial_grid_checked(self, mu_half):
-        other = q.Grid(8.0, 128)
-        bad = q.ComplexField(other, np.ones((128, 128), complex))
-        with pytest.raises(ValueError):
-            q.weighted_operator_norm(mu_half, initial=bad)
-
-    def test_zero_initial_rejected(self, grid256, mu_half):
-        zero = q.ComplexField(grid256, np.zeros((256, 256), complex))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="start vector"):
-                q.weighted_operator_norm(mu_half, initial=zero)
-
     def test_stats_serialize(self, mu_half):
         stats = q.weighted_operator_norm(mu_half)
         doc = stats.to_json_dict()
@@ -327,14 +284,14 @@ class TestWeightedOperatorNorm:
         stats = q.weighted_operator_norm(mu_zero)
         assert stats.weighted_norm_estimate == 0.0 and stats.converged
 
-    @pytest.mark.parametrize("padding", [2, 1])
-    def test_same_krylov_sequence_as_weighted_inner_product(self, padding):
+    @pytest.mark.parametrize("seed", [2])
+    def test_same_krylov_sequence_as_weighted_inner_product(self, seed):
         # Lanczos in the weighted inner product itself, on n x n fields:
         # A*A v = |y| S*(conj(mu) mu S v / |y|), <u, v> = area vdot(u/|y|, v)
         grid = q.Grid(8.0, 64)
         ball = q.indicator_ball(grid, 3j, 1.5, mollify_width=0.5)
         mu = q.BeltramiCoefficient(ball.with_values(0.6 * ball.values, ball.support_radius))
-        plan = q.plan_for(grid, padding)
+        plan = q.plan_for(grid)
         abs_y = np.abs(grid.y)[None, :]
         mu_vals = mu.field.values
 
@@ -345,12 +302,10 @@ class TestWeightedOperatorNorm:
         def inner(u, v):
             return grid.cell_area() * np.vdot(u / abs_y, v)
 
-        rng = np.random.default_rng(padding)
+        # the seeded start vector of weighted_operator_norm
+        rng = np.random.default_rng(seed)
         start = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        if padding == 1:
-            stats = q.weighted_operator_norm(mu, plan=plan, initial=q.ComplexField(grid, start))
-        else:
-            stats = q.weighted_operator_norm(mu, seed=padding)
+        stats = q.weighted_operator_norm(mu, seed=seed)
         history, _ = _lanczos_top(apply, inner, start, 1e-6, 80)
         assert stats.iteration_count == len(history)
         rel = np.abs(np.array(stats.rayleigh_history) / np.array(history) - 1.0)
@@ -424,3 +379,30 @@ class TestSolveInhomogeneous:
         lf = q.line_sample(lambda x: cinf_bump(x / 3.0), 16.0, m)
         with pytest.raises(q.NonConvergenceError):
             q.solve_inhomogeneous(mu, lf, tol=1e-12, max_iter=1)
+
+
+def _small_mu():
+    grid = q.Grid(4.0, 32)
+    ball = q.indicator_ball(grid, 1j, 0.8, mollify_width=0.2)
+    return q.BeltramiCoefficient(ball.with_values(0.4 * ball.values, ball.support_radius))
+
+
+ITERATIONS = {
+    "neumann_solve": lambda mu, k: q.neumann_solve(mu, mu.field, max_iter=k),
+    "solve_beltrami": lambda mu, k: q.solve_beltrami(mu, max_iter=k),
+    "weighted_operator_norm": lambda mu, k: q.weighted_operator_norm(mu, max_iter=k),
+    "inverse_weighted_bound": lambda mu, k: q.inverse_weighted_bound(mu, max_iter=k),
+    "solve_inhomogeneous": lambda mu, k: q.solve_inhomogeneous(
+        mu, q.line_sample(lambda x: cinf_bump(x / 2.0), 4.0, 128), max_iter=k
+    ),
+    "curve_cauchy_operator": lambda mu, k: q.curve_cauchy_operator(
+        q.CurveTrace(np.linspace(-4.0, 4.0, 64), np.linspace(-4.0, 4.0, 64) + 0j), max_iter=k
+    ),
+}
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("entry", sorted(ITERATIONS))
+def test_iteration_budget_below_one_rejected(entry, max_iter):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        ITERATIONS[entry](_small_mu(), max_iter)

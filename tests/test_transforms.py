@@ -25,7 +25,7 @@ def plan_exact(grid256):
 
 @pytest.fixture(scope="module")
 def plan_pad(grid256):
-    return q.plan_for(grid256, padding_factor=2)
+    return q.plan_for(grid256)
 
 
 class TestPlanPreconditions:
@@ -45,7 +45,8 @@ class TestPlanPreconditions:
 
 def dense_apply(plan, values, table):
     """Unpruned padded apply: ifft2(fft2(zero-embedded) * table), cropped."""
-    n, N, off = plan.grid.n, plan.n_padded, plan.offset
+    n, N = plan.grid.n, plan.n_padded
+    off = (N - n) // 2
     big = np.zeros((N, N), dtype=complex)
     big[off : off + n, off : off + n] = values
     return np.fft.ifft2(np.fft.fft2(big) * table)[off : off + n, off : off + n]
@@ -87,7 +88,7 @@ class TestPaddedApply:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_dense_reference(self, factor, table, in_rows, in_cols, rows, cols, seed):
-        plan = q.plan_for(self.grid, factor)
+        plan = q.SpectralPlan(self.grid, factor)
         values = boxed_values(np.random.default_rng(seed), 32, in_rows, in_cols)
         keep = (slice(None) if rows is None else rows, slice(None) if cols is None else cols)
         ref = np.zeros((32, 32), dtype=complex)
@@ -109,7 +110,7 @@ class TestPaddedApply:
     def test_block_form_matches_dense_reference(self, factor, table, in_rows, in_cols, margin, rows, cols, seed):
         # the block is given at a box that may have zero margins around the
         # input's nonzero box, and comes back as the rows x cols block
-        plan = q.plan_for(self.grid, factor)
+        plan = q.SpectralPlan(self.grid, factor)
         values = boxed_values(np.random.default_rng(seed), 32, in_rows, in_cols)
         at = (
             slice(max(0, in_rows[0] - margin[0]), min(32, in_rows[1] + margin[1])),
@@ -247,11 +248,11 @@ class TestPaddedApply:
         assert len(plan._windows) == _WINDOW_CACHE_SIZE
 
     def test_plan_for_key_is_normalised(self):
+        # equal grids share one padding-2 plan
         plan = q.plan_for(self.grid)
-        assert q.plan_for(self.grid, 2) is plan
-        assert q.plan_for(self.grid, padding_factor=2) is plan
-        assert q.plan_for(q.Grid(4.0, 32), np.int64(2)) is plan
-        assert q.plan_for(self.grid, 1) is not plan
+        assert plan.padding_factor == 2
+        assert q.plan_for(q.Grid(4.0, 32)) is plan
+        assert q.plan_for(q.Grid(4.0, 64)) is not plan
 
 
 class TestLanczosTop:
