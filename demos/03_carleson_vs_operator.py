@@ -15,7 +15,7 @@ ball = q.indicator_ball(grid, 2j, 1.0, mollify_width=0.25)
 
 print(f"{'amplitude':>10} {'carleson':>12} {'opnorm^2':>12} {'ratio':>8}")
 for c in (0.2, 0.35, 0.5, 0.65, 0.8):
-    mu = q.BeltramiCoefficient(ball.with_values(c * ball.values, ball.support_radius))
+    mu = q.BeltramiCoefficient(ball.with_values(c * ball.values))
     carleson = q.carleson_norm(q.carleson_density(mu))
     est = q.weighted_operator_norm(mu, tol=1e-5, max_iter=60).weighted_norm_estimate
     print(f"{c:>10.2f} {carleson.norm:>12.6f} {est**2:>12.6f} "
@@ -23,7 +23,7 @@ for c in (0.2, 0.35, 0.5, 0.65, 0.8):
 
 # The sweep reports a witness ball achieving the sup; re-measuring it
 # reproduces the norm exactly because both share the same arithmetic.
-mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values, ball.support_radius))
+mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values))
 report = q.carleson_norm(q.carleson_density(mu))
 mass = q.ball_mass(q.carleson_density(mu), report.witness_center, report.witness_radius)
 print(f"\nwitness ball: center {report.witness_center}, radius {report.witness_radius}; "

@@ -61,7 +61,7 @@ def carleson_density(mu: BeltramiCoefficient) -> ComplexField:
     grid = mu.grid
     abs_y = np.abs(grid.y)[None, :]
     values = (np.abs(mu.field.values) ** 2 / abs_y).astype(complex)
-    return ComplexField(grid, values, support_radius=mu.support_radius)
+    return ComplexField(grid, values)
 
 
 def _require_density(nu: ComplexField) -> np.ndarray:

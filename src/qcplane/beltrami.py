@@ -76,15 +76,19 @@ class SolveReport:
 
     solution: ComplexField
     residual_history: list[float]
-    iterations: int
     converged: bool
     tolerance: float
+
+    @property
+    def iterations(self) -> int:
+        """Iterations run, one per residual."""
+        return len(self.residual_history)
 
     def to_json_dict(self) -> dict:
         return {
             "solution": _field_summary(self.solution),
             "residual_history": list(self.residual_history),
-            "iterations": int(self.iterations),
+            "iterations": self.iterations,
             "converged": bool(self.converged),
             "tolerance": self.tolerance,
         }
@@ -131,7 +135,7 @@ def neumann_solve(
     ----------
     mu : BeltramiCoefficient
     phi : ComplexField
-        Right-hand side; compact support must be declared.
+        Right-hand side.
     tol : float
     max_iter : int
         At least 1.
@@ -144,10 +148,7 @@ def neumann_solve(
         raise ValueError("max_iter must be at least 1")
     if phi.grid != mu.grid:
         raise ValueError("phi grid does not match mu grid")
-    if phi.support_radius is None:
-        raise ValueError("neumann_solve requires a right-hand side with declared support")
     plan = plan_for(mu.grid)
-    support = max(mu.support_radius, phi.support_radius)
     area = mu.grid.cell_area()
     # Each iterate is h_k = Phi + c_k with c_k = mu S h_{k-1}, which
     # vanishes off mu's nonzero box B.  So the iteration runs on B alone:
@@ -172,11 +173,9 @@ def neumann_solve(
             break
     h = phi.values.copy()
     h[box] += c
-    solution = ComplexField(mu.grid, h, support_radius=support)
     return SolveReport(
-        solution=solution,
+        solution=ComplexField(mu.grid, h),
         residual_history=history,
-        iterations=len(history),
         converged=converged,
         tolerance=tol,
     )
@@ -188,8 +187,9 @@ def solve_beltrami(
     """Construct the normalized quasiconformal map rho(z) = z + Th(z).
 
     h solves (I - mu S) h = mu; the evaluator computes Th at arbitrary
-    points by direct free-space kernel quadrature over the support of h,
-    so rho(z) - z decays like 1/|z| beyond the support.
+    points by direct free-space kernel quadrature over the nonzero
+    samples of h, so rho(z) - z decays like 1/|z| beyond
+    ``h.support_radius``.
 
     Raises
     ------
@@ -244,12 +244,11 @@ def weighted_operator_norm(
         weighted_norm_estimate = sqrt(top Ritz value),
         rayleigh_history = the Ritz values, iteration_count = Lanczos
         steps, relative_change_at_stop = |theta_k - theta_{k-1}| / theta_k.
+        A zero mu stops at step 1 with theta = 0.
     """
     grid = mu.grid
     plan = plan_for(grid)
     mu_vals = mu.field.values
-    if not mu_vals.any():
-        return OperatorStats(0.0, 0, 0.0)
     abs_y = np.abs(grid.y)
     sqrt_y = np.sqrt(abs_y)[None, :]
     rows, cols = box = _nonzero_box(mu_vals)
@@ -281,19 +280,17 @@ def weighted_operator_norm(
 def default_probes(grid: Grid, noise_count: int = 8, ball_count: int = 4) -> list[ComplexField]:
     """Compactly supported probe family for invertibility measurements.
 
-    Band-limited noise windowed to the half-box plus mollified balls at
-    increasing heights: the window keeps every probe admissible for the
-    solver, and the ball heights sample the weight 1/|y| from near the
-    axis to the far field.  Noise probe k is seeded with k.
+    Band-limited noise windowed to the disc of radius L/2 plus mollified
+    balls at increasing heights: the ball heights sample the weight
+    1/|y| from near the axis to the far field.  Noise probe k is seeded
+    with k.
     """
     L = grid.half_width
     window = indicator_ball(grid, 0.0, L / 2.0, mollify_width=L / 8.0)
     probes: list[ComplexField] = []
     for k in range(noise_count):
         noise = bandlimited_noise(grid, seed=k, cutoff=0.25)
-        probes.append(
-            ComplexField(grid, noise.values * window.values, support_radius=L / 2.0)
-        )
+        probes.append(noise.with_values(noise.values * window.values))
     heights = np.linspace(0.1, 0.7, ball_count) * L
     for k in range(ball_count):
         probes.append(
@@ -376,7 +373,7 @@ def solve_inhomogeneous(
     if mask.any():
         pts = grid.points()[mask]
         rhs_values[mask] = mu.field.values[mask] * cauchy_line_derivative(f, pts)
-    rhs = ComplexField(grid, rhs_values, support_radius=mu.support_radius)
+    rhs = ComplexField(grid, rhs_values)
     report = neumann_solve(mu, rhs, tol=tol, max_iter=max_iter)
     if not report.converged:
         raise NonConvergenceError(

@@ -9,6 +9,7 @@ rule; convergence is tested, not assumed.
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 
 import numpy as np
 
@@ -102,81 +103,77 @@ class Grid:
 class ComplexField:
     """Complex samples on a :class:`Grid`, immutable after construction.
 
+    Every field is compactly supported: its samples fill the n x n box
+    and it is zero outside.
+
     Parameters
     ----------
     grid : Grid
     values : ndarray
         Complex array of shape (n, n); values[j, k] is the sample at
         z_jk.  Copied and frozen.
-    support_radius : float, optional
-        Declared support radius about the origin: the field vanishes for
-        |z| > support_radius.  None means no compactness is claimed.
-        Transforms that rely on compact support check this declaration.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, support_radius: float | None = None):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         if values.shape != (grid.n, grid.n):
             raise ValueError(f"values shape {values.shape} does not match grid n={grid.n}")
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("field values must be finite")
-        if support_radius is not None and support_radius <= 0:
-            raise ValueError("support_radius must be positive when declared")
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)
-        self.support_radius = None if support_radius is None else float(support_radius)
 
-    def with_values(self, values: np.ndarray, support_radius: float | None = None) -> "ComplexField":
+    @cached_property
+    def support_radius(self) -> float:
+        """Radius of the origin-centred disc that holds every nonzero sample,
+        padded by one cell: the largest |z_jk| over nonzero samples plus
+        the grid spacing, or one spacing when every sample is zero."""
+        nz = self.values != 0
+        if not nz.any():
+            return self.grid.spacing
+        return float(np.abs(self.grid.points()[nz]).max()) + self.grid.spacing
+
+    def with_values(self, values: np.ndarray) -> "ComplexField":
         """New field on the same grid."""
-        return ComplexField(self.grid, values, support_radius)
+        return ComplexField(self.grid, values)
 
     def __repr__(self) -> str:
-        return (
-            f"ComplexField(grid={self.grid!r}, support_radius={self.support_radius})"
-        )
+        return f"ComplexField(grid={self.grid!r})"
 
 
 class BeltramiCoefficient:
-    """A dilatation: a complex field with sup norm < 1 and declared support.
+    """A dilatation: a complex field with sup norm < 1.
 
     Parameters
     ----------
     field : ComplexField
-        Must carry a declared ``support_radius`` and vanish outside it.
 
     Attributes
     ----------
     sup_bound : float
         max |values|; construction rejects sup_bound >= 1.
-    support_radius : float
     """
 
     def __init__(self, field: ComplexField):
-        if field.support_radius is None:
-            raise ValueError("dilatation requires a declared support_radius")
         sup = float(np.abs(field.values).max())
         if sup >= 1.0:
             raise ValueError(f"dilatation sup norm {sup} must be < 1")
-        outside = np.abs(field.grid.points()) > field.support_radius
-        if np.any(np.abs(field.values[outside]) > 0):
-            raise ValueError("dilatation values must vanish outside the declared support")
         self.field = field
         self.sup_bound = sup
-        self.support_radius = field.support_radius
         self.grid = field.grid
+
+    @property
+    def support_radius(self) -> float:
+        """The field's support radius, :attr:`ComplexField.support_radius`."""
+        return self.field.support_radius
 
     def scaled(self, t: float) -> "BeltramiCoefficient":
         """The dilatation t * mu; |t| * sup_bound must stay below 1."""
-        return BeltramiCoefficient(
-            ComplexField(self.grid, t * self.field.values, self.support_radius)
-        )
+        return BeltramiCoefficient(self.field.with_values(t * self.field.values))
 
     def __repr__(self) -> str:
-        return (
-            f"BeltramiCoefficient(sup_bound={self.sup_bound:.4g}, "
-            f"support_radius={self.support_radius:.4g}, grid={self.grid!r})"
-        )
+        return f"BeltramiCoefficient(sup_bound={self.sup_bound:.4g}, grid={self.grid!r})"
 
 
 def integrate(f: ComplexField) -> complex:
@@ -259,7 +256,7 @@ def indicator_ball(
         values = (dist <= radius).astype(complex)
     else:
         values = _smooth_step((radius - dist) / mollify_width).astype(complex)
-    return ComplexField(grid, values, support_radius=abs(center) + radius)
+    return ComplexField(grid, values)
 
 
 def bandlimited_noise(grid: Grid, seed: int, cutoff: float = 0.25) -> ComplexField:
@@ -310,9 +307,8 @@ def write_field(f: ComplexField, path) -> None:
 def read_field(path) -> ComplexField:
     """Read a field written by :func:`write_field`.
 
-    The declared support radius is reconstructed from the nonzero
-    samples (smallest origin-centered disc covering them, padded by one
-    cell), since the format does not carry it.
+    The format stores no support radius; the field derives it from its
+    samples (:attr:`ComplexField.support_radius`).
 
     Raises
     ------
@@ -342,10 +338,5 @@ def read_field(path) -> ComplexField:
         )
     # the interleaved re/im pairs are complex128 as stored, signed zeros included
     values = np.frombuffer(data, dtype="<c16").reshape(grid.n, grid.n)
-    nz = np.abs(values) > 0
-    if nz.any():
-        radius = float(np.abs(grid.points()[nz]).max()) + grid.spacing
-    else:
-        radius = grid.spacing
-    return ComplexField(grid, values, support_radius=radius)
+    return ComplexField(grid, values)
 

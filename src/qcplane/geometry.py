@@ -423,15 +423,13 @@ def fd_wirtinger(rho: MapEvaluator, points: np.ndarray, steps: np.ndarray) -> tu
 
 def _dbar_and_mu(rho: MapEvaluator, grid: Grid) -> tuple[ComplexField, BeltramiCoefficient]:
     """(dbar rho, mu) on the grid, from the map's exact pair when it has one,
-    else by finite differences; the support radius is the grid diagonal."""
+    else by finite differences."""
     pts = grid.points()
     if rho._wirtinger is not None:
         dbar, d = rho._wirtinger(pts)
     else:
         dbar, d = fd_wirtinger(rho, pts, 0.125 * np.abs(pts.imag))
-    radius = float(np.sqrt(2.0) * grid.half_width)
-    mu = BeltramiCoefficient(ComplexField(grid, dbar / d, support_radius=radius))
-    return ComplexField(grid, dbar, support_radius=radius), mu
+    return ComplexField(grid, dbar), BeltramiCoefficient(ComplexField(grid, dbar / d))
 
 
 def map_dilatation(rho: MapEvaluator, grid: Grid) -> BeltramiCoefficient:
@@ -444,9 +442,8 @@ def map_dilatation(rho: MapEvaluator, grid: Grid) -> BeltramiCoefficient:
     reflection) and makes the relative truncation error uniform for maps
     with power-law behavior near the axis.
 
-    The result is truncated to the grid box: its declared support radius
-    is the grid diagonal, so non-compact dilatations are represented by
-    their restriction, reported as such.
+    The result is truncated to the grid box, so a non-compact dilatation
+    is represented by its restriction to the box.
     """
     return _dbar_and_mu(rho, grid)[1]
 

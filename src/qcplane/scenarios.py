@@ -168,7 +168,7 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
             bump = indicator_ball(grid, complex(config.center), config.radius, mollify_width=width)
         except ValueError as exc:
             raise ConfigError(f"invalid ball: {exc}") from exc
-        mu = BeltramiCoefficient(bump.with_values(config.c * bump.values, bump.support_radius))
+        mu = BeltramiCoefficient(bump.with_values(config.c * bump.values))
         return mu, None
     if config.kind in ("prop2", "ba_extension"):
         if not 1.0 < config.k < 2.0:

@@ -4,9 +4,9 @@ The Beurling transform S (kernel -1/(pi (w-z)^2), multiplier xi_bar/xi)
 and the plane Cauchy transform T (kernel -1/(pi (w-z)), with dbar(Tf) = f
 and d(Tf) = Sf) are realized as Fourier multipliers on a zero-padded
 grid.  Padding factor 1 is the exact periodic model (unimodular algebra,
-exact isometry); factor >= 2 approximates the free-space operators for
-compactly supported fields, with wraparound measured by the closed-form
-ball oracles rather than assumed away.
+exact isometry); factor >= 2 approximates the free-space operators on
+the field extended by zero beyond the grid square, with wraparound
+measured by the closed-form ball oracles rather than assumed away.
 
 Line-side operators: the Cauchy integral of line data evaluated off the
 axis, Plemelj boundary values via the principal-value multiplier, and the
@@ -28,7 +28,6 @@ from .field import ComplexField, Grid
 
 __all__ = [
     "SpectralPlan",
-    "SupportViolation",
     "LineFunction",
     "beurling",
     "cauchy_plane",
@@ -42,10 +41,6 @@ __all__ = [
     "plemelj_boundary",
     "dq_kernel_transform",
 ]
-
-
-class SupportViolation(ValueError):
-    """A transform precondition on compact support was not met."""
 
 
 class _LRUCache:
@@ -96,7 +91,8 @@ class SpectralPlan:
         >= 1.  The field is zero-embedded into a (factor*n)^2 box before
         the FFT and truncated back after.  Factor 1 performs no padding
         and realizes the exact periodic operators; factor 2 (default) is
-        the free-space approximation for compactly supported fields.
+        the free-space approximation, which takes the field to be zero
+        outside the grid square.
 
     Notes
     -----
@@ -376,12 +372,6 @@ def _lanczos_top(
 def _check_plan(plan: SpectralPlan, f: ComplexField) -> None:
     if f.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
-    # Free-space use requires declared compact support; the periodic
-    # model (factor 1) has no such precondition.
-    if plan.padding_factor >= 2 and f.support_radius is None:
-        raise SupportViolation(
-            "padded transforms require a field with declared compact support"
-        )
 
 
 def beurling(plan: SpectralPlan, f: ComplexField) -> ComplexField:

@@ -29,5 +29,5 @@ def ball256(grid256):
 @pytest.fixture(scope="session")
 def mu_half(ball256):
     return q.BeltramiCoefficient(
-        ball256.with_values(0.5 * ball256.values, ball256.support_radius)
+        ball256.with_values(0.5 * ball256.values)
     )

@@ -100,7 +100,7 @@ def test_criterion_05_equivalence_family():
     for r in (0.5, 1.0, 2.0, 4.0):
         for c in (0.2, 0.5, 0.8):
             ball = q.indicator_ball(grid, 2 * r * 1j, r)
-            mu = q.BeltramiCoefficient(ball.with_values(c * ball.values, ball.support_radius))
+            mu = q.BeltramiCoefficient(ball.with_values(c * ball.values))
             if (r, c) == (1.0, 0.2):
                 hom_member = mu
             est = q.weighted_operator_norm(mu, tol=1e-5, max_iter=60).weighted_norm_estimate
@@ -123,12 +123,12 @@ def test_criterion_05_equivalence_family():
 def test_criterion_06_neumann_solver():
     grid = q.Grid(8.0, 256)
     ball = q.indicator_ball(grid, 3j, 1.5, mollify_width=0.3)
-    mu = q.BeltramiCoefficient(ball.with_values(0.8 * ball.values, ball.support_radius))
-    phi = ball.with_values((0.3 + 0.1j) * ball.values, ball.support_radius)
+    mu = q.BeltramiCoefficient(ball.with_values(0.8 * ball.values))
+    phi = ball.with_values((0.3 + 0.1j) * ball.values)
     rep = q.neumann_solve(mu, phi, tol=1e-8, max_iter=100)
     hist = rep.residual_history
     ratios = [hist[i + 1] / hist[i] for i in range(1, len(hist) - 1) if hist[i] > 0]
-    mu0 = q.BeltramiCoefficient(ball.with_values(0.0 * ball.values, ball.support_radius))
+    mu0 = q.BeltramiCoefficient(ball.with_values(0.0 * ball.values))
     exact0 = np.array_equal(q.neumann_solve(mu0, phi, tol=1e-8, max_iter=100).solution.values, phi.values)
     ok = (
         rep.converged
@@ -158,7 +158,7 @@ def _lemma4_g(grid, seed):
         + coef[4] * z * np.conj(z) / 4
         + coef[5] * (np.conj(z) / 2) ** 2
     )
-    return q.ComplexField(grid, w * poly, support_radius=2.0)
+    return q.ComplexField(grid, w * poly)
 
 
 def _lemma4_h(X, m, seed):
@@ -205,7 +205,7 @@ def test_criterion_07_pairing_duality():
 def _restriction_ratio(n):
     grid = q.Grid(8.0, n)
     ball = q.indicator_ball(grid, 2j, 1.0, mollify_width=0.25)
-    mu = q.BeltramiCoefficient(ball.with_values(0.4 * ball.values, ball.support_radius))
+    mu = q.BeltramiCoefficient(ball.with_values(0.4 * ball.values))
     X = 16.0
     m = int(round(2 * X / grid.stagger))
     f = q.line_sample(lambda x: cinf_bump(x / 3.0) * np.cos(1.3 * x / 3.0), X, m)
@@ -220,7 +220,7 @@ def test_criterion_08_line_restriction():
     spread = max(abs(r / ratios[0] - 1.0) for r in ratios)
     grid = q.Grid(8.0, 128)
     ball = q.indicator_ball(grid, 2j, 1.0, mollify_width=0.25)
-    mu0 = q.BeltramiCoefficient(ball.with_values(0.0 * ball.values, ball.support_radius))
+    mu0 = q.BeltramiCoefficient(ball.with_values(0.0 * ball.values))
     _, f = _restriction_ratio(128)
     H0, b0 = q.solve_inhomogeneous(mu0, f, tol=1e-10)
     zero_dev = float(max(np.max(np.abs(H0.values)), np.max(np.abs(b0.values))))

@@ -30,7 +30,7 @@ class TestCarlesonDensity:
 
     def test_zero_coefficient(self, grid256):
         mu0 = q.BeltramiCoefficient(
-            q.ComplexField(grid256, np.zeros((256, 256), complex), support_radius=1.0)
+            q.ComplexField(grid256, np.zeros((256, 256), complex))
         )
         nu = q.carleson_density(mu0)
         assert np.max(np.abs(nu.values)) == 0.0
@@ -56,7 +56,7 @@ class TestCarlesonNorm:
     def test_monotone_in_density(self, ball256, mu_half, density):
         smaller = q.carleson_density(
             q.BeltramiCoefficient(
-                ball256.with_values(0.3 * ball256.values, ball256.support_radius)
+                ball256.with_values(0.3 * ball256.values)
             )
         )
         assert q.carleson_norm(smaller).norm < q.carleson_norm(density).norm
@@ -153,7 +153,6 @@ class TestRectifiabilityEnergy:
         h = q.ComplexField(
             grid256,
             q.bandlimited_noise(grid256, seed=2).values * ball256.values.real,
-            support_radius=ball256.support_radius,
         )
         energy = q.rectifiability_energy(h)
         assert abs(energy - q.norm(h, "inv_abs_y") ** 2) <= 1e-12 * energy
@@ -166,6 +165,6 @@ class TestRectifiabilityEnergy:
 
     def test_monotone_in_amplitude(self, ball256, mu_half):
         smaller = q.BeltramiCoefficient(
-            ball256.with_values(0.3 * ball256.values, ball256.support_radius)
+            ball256.with_values(0.3 * ball256.values)
         )
         assert q.rectifiability_energy(smaller.field) < q.rectifiability_energy(mu_half.field)

@@ -86,7 +86,7 @@ class TestRun:
     def test_custom_file_records_the_file_grid(self, tmp_path):
         ball = indicator_ball(Grid(8.0, 64), 3j, 1.5)
         path = tmp_path / "mu.bin"
-        write_field(ball.with_values(0.3 * ball.values, ball.support_radius), path)
+        write_field(ball.with_values(0.3 * ball.values), path)
         code, _, _ = run_cli(
             [
                 "run",
@@ -201,7 +201,7 @@ class TestErrorPaths:
     def test_out_of_range_custom_file_exit_two(self, tmp_path):
         ball = indicator_ball(Grid(8.0, 64), 2j, 1.0)
         path = tmp_path / "mu.bin"
-        write_field(ball.with_values(1.5 * ball.values, ball.support_radius), path)
+        write_field(ball.with_values(1.5 * ball.values), path)
         code, _, err = self._run_custom_file(tmp_path, path)
         assert code == 2
         doc = json.loads(err.strip())

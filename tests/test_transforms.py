@@ -35,12 +35,15 @@ class TestPlanPreconditions:
         with pytest.raises(ValueError):
             q.beurling(plan_exact, f)
 
-    def test_padded_requires_declared_support(self, grid256, plan_pad):
-        f = q.bandlimited_noise(grid256, seed=0)  # no declared support
-        with pytest.raises(q.SupportViolation):
-            q.beurling(plan_pad, f)
-        # the periodic plan has no such precondition
-        q.beurling(q.SpectralPlan(grid256, padding_factor=1), f)
+    def test_padded_applies_to_edge_nonzero_field(self, grid256, plan_pad):
+        # a field is zero beyond the grid square, so the padded transforms
+        # take one that is nonzero out to the edge of the square
+        f = q.bandlimited_noise(grid256, seed=0)
+        assert f.values[0, 0] != 0 and f.values[-1, -1] != 0
+        for transform, table in ((q.beurling, plan_pad.multiplier_s), (q.cauchy_plane, plan_pad.multiplier_t)):
+            ref = dense_apply(plan_pad, f.values, table)
+            got = transform(plan_pad, f).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def dense_apply(plan, values, table):
@@ -333,7 +336,7 @@ class TestLanczosTop:
     def test_ritz_pairs_of_a_weighted_norm_run(self, monkeypatch):
         grid = q.Grid(8.0, 64)
         ball = q.indicator_ball(grid, 2j, 1.0, mollify_width=0.25)
-        mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values, ball.support_radius))
+        mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values))
         steps = []
 
         def recording(d, e):
