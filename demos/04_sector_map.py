@@ -14,7 +14,8 @@ import qcplane as q
 
 K = 1.5
 grid = q.Grid(8.0, 256)
-rho, mu = q.prop2_map(K, grid)
+rho = q.prop2_map(K)
+mu = q.map_dilatation(rho, grid)
 
 # --- modulus law, exact by construction -------------------------------
 rng = np.random.default_rng(0)

@@ -127,9 +127,12 @@ def neumann_solve(
     """Solve (I - mu S) h = Phi by the fixed-point iteration h <- Phi + mu S h.
 
     Stops when the unweighted residual ||(I - mu S) h - Phi||_2 drops to
-    ``tol``; the residual equals the step size of the iteration, so the
-    history doubles as a contraction-ratio record.  Non-convergence is
-    reported in the returned flag, never silently ignored.
+    ``tol * ||Phi||_2``; the residual equals the step size of the
+    iteration, so the history doubles as a contraction-ratio record.
+    The stop is relative, so it does not move when Phi or the grid's
+    half-width is rescaled, and a zero Phi stops after one step.
+    Non-convergence is reported in the returned flag, never silently
+    ignored.
 
     Parameters
     ----------
@@ -160,6 +163,7 @@ def neumann_solve(
     source = mu_box * plan.apply(phi.values[phi_box], plan.multiplier_s, *box, at=phi_box)
     c = np.zeros_like(source)
     step = source
+    stop = tol * norm(phi)
     history: list[float] = []
     converged = False
     for k in range(max_iter):
@@ -168,7 +172,7 @@ def neumann_solve(
         residual = float(np.sqrt(area * (np.abs(step - c) ** 2).sum()))
         history.append(residual)
         c = step
-        if residual <= tol:
+        if residual <= stop:
             converged = True
             break
     h = phi.values.copy()

@@ -205,16 +205,22 @@ def norm(f: ComplexField, weight: str = "unweighted") -> float:
     """
     w = _weight_values(f.grid, weight)
     area = f.grid.cell_area()
-    with np.errstate(over="ignore"):
-        total = area * (np.abs(f.values) ** 2 * w).sum()
-    if np.isfinite(total) and total >= np.finfo(float).tiny:
-        return float(np.sqrt(total))
-    # |f|^2 w overflowed or underflowed (values of order 1/L at an extreme
-    # L, say): square the values divided by the largest |value|, as
-    # np.linalg.norm does
-    scale = np.abs(f.values).max()
+    mag = np.abs(f.values)
+    scale = mag.max()
     if scale == 0.0:
         return 0.0
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        total = area * (np.square(mag, out=mag) * w).sum()
+        # the largest term is at least scale^2 min(w); a term below this
+        # share of it cannot move the sum
+        floor = scale**2 * np.min(w) * np.finfo(float).eps / f.values.size
+    # kept when the sum is a finite normal number and every term that can
+    # move it, and its |f|^2, is a normal number too
+    if np.isfinite(total) and total >= tiny and floor >= tiny * max(1.0, np.max(w)):
+        return float(np.sqrt(total))
+    # |f|^2 w overflowed or left the normal range (values of order 1/L at
+    # an extreme L, say): square the values divided by the largest |value|
     return float(np.sqrt(area * (np.abs(f.values / scale) ** 2 * w).sum()) * scale)
 
 

@@ -44,8 +44,8 @@ class MapEvaluator:
     provenance : str
         One of 'solver', 'closed-form', 'extension'.
     dbar_field : ComplexField, optional
-        The dbar(rho) grid field, set by the solver, by prop2_map and by
-        the ba_extension scenario.
+        The dbar(rho) grid field, set by the solver and, for the
+        closed-form scenario maps, by ``build_scenario``.
     report : object, optional
         Solver report when applicable.
     _wirtinger : callable, optional
@@ -435,12 +435,12 @@ def _dbar_and_mu(rho: MapEvaluator, grid: Grid) -> tuple[ComplexField, BeltramiC
 def map_dilatation(rho: MapEvaluator, grid: Grid) -> BeltramiCoefficient:
     """Dilatation mu = dbar(rho)/d(rho) sampled on the grid.
 
-    A closed-form map (:func:`ba_extension`, :func:`prop2_map`) supplies
-    its exact Wirtinger pair.  Any other map is differenced by the
-    order-6 stencil with step |Im z|/8 at each sample, which keeps the
-    stencil inside one half-plane (required for maps defined by
-    reflection) and makes the relative truncation error uniform for maps
-    with power-law behavior near the axis.
+    Both closed-form maps, :func:`ba_extension` and :func:`prop2_map`,
+    are sampled alike, through their exact Wirtinger pairs.  Any other
+    map is differenced by the order-6 stencil with step |Im z|/8 at each
+    sample, which keeps the stencil inside one half-plane (required for
+    maps defined by reflection) and makes the relative truncation error
+    uniform for maps with power-law behavior near the axis.
 
     The result is truncated to the grid box, so a non-compact dilatation
     is represented by its restriction to the box.
@@ -448,8 +448,8 @@ def map_dilatation(rho: MapEvaluator, grid: Grid) -> BeltramiCoefficient:
     return _dbar_and_mu(rho, grid)[1]
 
 
-def prop2_map(K: float, grid: Grid) -> tuple[MapEvaluator, BeltramiCoefficient]:
-    """Closed-form sector map with |rho(z)| = |z|^(1/K), and its dilatation.
+def prop2_map(K: float) -> MapEvaluator:
+    """Closed-form sector map with |rho(z)| = |z|^(1/K).
 
     With a = 1/K and z = r e^(i theta), rho(z) = r^a exp(i sign(theta)
     phi(|theta|)), phi piecewise linear through (0, 0), (pi/4, a pi/4),
@@ -460,14 +460,13 @@ def prop2_map(K: float, grid: Grid) -> tuple[MapEvaluator, BeltramiCoefficient]:
     With s = phi' (a on E0 and E1, 2 - a between), the exact pair
     dbar rho = e^(i theta) rho (a - s)/(2r), d rho = e^(-i theta) rho
     (a + s)/(2r) gives mu = 0 on E0 and E1 and |mu| = 1 - 1/K between.
-    The evaluator carries that pair and the dbar(rho) grid field; mu is
-    sampled on the grid, truncated to the grid box.
+    The evaluator carries that pair, so :func:`map_dilatation` samples
+    mu from it exactly, as for :func:`ba_extension`.
 
     Parameters
     ----------
     K : float
         Distortion parameter, 1 < K < 2.
-    grid : Grid
 
     Raises
     ------
@@ -494,6 +493,4 @@ def prop2_map(K: float, grid: Grid) -> tuple[MapEvaluator, BeltramiCoefficient]:
         turn = np.exp(1j * theta)
         return turn * half * (alpha - s), np.conj(turn) * half * (alpha + s)
 
-    rho = MapEvaluator(evaluate, provenance="closed-form", _wirtinger=wirtinger)
-    rho.dbar_field, mu = _dbar_and_mu(rho, grid)
-    return rho, mu
+    return MapEvaluator(evaluate, provenance="closed-form", _wirtinger=wirtinger)

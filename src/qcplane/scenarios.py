@@ -76,24 +76,23 @@ def default_output_root() -> Path:
 class ScenarioConfig:
     """Declarative description of one experiment.
 
-    ``c``, ``center``, ``radius``, ``mollify`` parameterize the ball
-    scenario; ``k`` is the distortion parameter of the sector map and of
-    the power boundary map; ``mu_file`` points at a stored field for the
-    custom scenario.  Unused parameters are ignored by the other kinds
-    but still participate in the config hash.
+    ``c``, ``center``, ``radius`` parameterize the ball scenario, whose
+    indicator is mollified over a ramp of width radius/4; ``k`` is the
+    distortion parameter of the sector map and of the power boundary
+    map; ``mu_file`` points at a stored field for the custom scenario.
+    Unused parameters are ignored by the other kinds but still
+    participate in the config hash.
     """
 
     kind: str
     grid_n: int = 256
     grid_l: float = 8.0
     tol: float = 1e-10
-    max_iter: int = 200
     seed: int = 0
     trace_samples: int = 2048
     c: float = 0.3
     center: complex = 4j
     radius: float = 1.0
-    mollify: float | None = None
     k: float = 1.5
     mu_file: str | None = None
     out_dir: str | None = None
@@ -105,13 +104,11 @@ class ScenarioConfig:
             "grid_n": int(self.grid_n),
             "grid_l": float(self.grid_l),
             "tol": float(self.tol),
-            "max_iter": int(self.max_iter),
             "seed": int(self.seed),
             "trace_samples": int(self.trace_samples),
             "c": float(self.c),
             "center": [center.real, center.imag],
             "radius": float(self.radius),
-            "mollify": None if self.mollify is None else float(self.mollify),
             "k": float(self.k),
             "mu_file": self.mu_file,
         }
@@ -154,8 +151,6 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
         raise ConfigError(f"invalid grid: {exc}") from exc
     if not config.tol > 0:
         raise ConfigError("tol must be positive")
-    if config.max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
     if config.trace_samples < 64:
         raise ConfigError("trace_samples must be at least 64")
     if config.kind == "ball":
@@ -163,8 +158,8 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
             raise ConfigError("ball amplitude must satisfy |c| < 1")
         if not config.radius > 0:
             raise ConfigError("ball radius must be positive")
-        width = config.mollify if config.mollify is not None else config.radius / 4.0
         try:
+            width = config.radius / 4.0
             bump = indicator_ball(grid, complex(config.center), config.radius, mollify_width=width)
         except ValueError as exc:
             raise ConfigError(f"invalid ball: {exc}") from exc
@@ -173,12 +168,9 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
     if config.kind in ("prop2", "ba_extension"):
         if not 1.0 < config.k < 2.0:
             raise ConfigError(f"k must lie in (1, 2), got {config.k}")
-        if config.kind == "prop2":
-            rho, mu = prop2_map(config.k, grid)
-            return mu, rho
-        rho = ba_extension(_power_boundary(config.k))
-        dbar_field, mu = _dbar_and_mu(rho, grid)
-        return mu, replace(rho, dbar_field=dbar_field)
+        rho = prop2_map(config.k) if config.kind == "prop2" else ba_extension(_power_boundary(config.k))
+        dbar, mu = _dbar_and_mu(rho, grid)
+        return mu, replace(rho, dbar_field=dbar)
     if not config.mu_file:  # custom-file, the one kind left
         raise ConfigError("custom-file scenario requires mu_file")
     path = Path(config.mu_file)
@@ -272,9 +264,7 @@ class _Run:
 
     @cached_property
     def invertibility(self):
-        stats = inverse_weighted_bound(
-            self.mu, probes=self.probes, tol=self.config.tol, max_iter=self.config.max_iter
-        )
+        stats = inverse_weighted_bound(self.mu, probes=self.probes, tol=self.config.tol)
         del self.probes  # 12 n x n fields, kept no longer than their solves
         return stats
 
@@ -283,7 +273,7 @@ class _Run:
         """The closed-form map, or the solved one; NonConvergenceError if the solve stalls."""
         if self._closed_form is not None:
             return self._closed_form
-        return solve_beltrami(self.mu, tol=self.config.tol, max_iter=self.config.max_iter)
+        return solve_beltrami(self.mu, tol=self.config.tol)
 
     @cached_property
     def trace(self):

@@ -7,6 +7,8 @@ grid.  Padding factor 1 is the exact periodic model (unimodular algebra,
 exact isometry); factor >= 2 approximates the free-space operators on
 the field extended by zero beyond the grid square, with wraparound
 measured by the closed-form ball oracles rather than assumed away.
+Every factor runs one apply, an overlap-save block convolution that
+computes only the output box asked for.
 
 Line-side operators: the Cauchy integral of line data evaluated off the
 axis, Plemelj boundary values via the principal-value multiplier, and the
@@ -108,7 +110,9 @@ class SpectralPlan:
     ``next_fast_len(|O| + |I| - 1)`` points per axis: the same linear
     map as the full product, up to rounding, whatever the boxes.  With
     factor >= 2 two cells of the n x n box differ by less than the
-    period in each index, so no offset aliases.
+    period in each index, so no offset aliases.  At factor 1 offsets
+    alias, the window repeats entries of kappa, and the result is the
+    periodic product.
 
     kappa is built on first use, once per table: 16 (factor*n)^2 bytes,
     1 MiB at n = 128 and 16 MiB at n = 512 with the default factor.  The
@@ -171,9 +175,8 @@ class SpectralPlan:
 
         Full form (``at`` is None): ``values`` is the n x n field and the
         result is n x n, zero outside O.  The input's nonzero box is
-        found by a scan, and the box is then applied in block form.  At
-        padding 1 the full form is the plain periodic product and
-        ``rows``/``cols`` are ignored.
+        found by a scan, and the box is then applied in block form, at
+        every padding factor: at padding 1 too, only O is computed.
 
         Block form: ``values`` is the block of the input at the
         (rows, cols) box ``at``, the input being zero elsewhere, and the
@@ -188,8 +191,6 @@ class SpectralPlan:
             if values.shape != (in_r.stop - in_r.start, in_c.stop - in_c.start):
                 raise ValueError(f"block of shape {values.shape} does not fill the box {at}")
             return self._apply_block(values, table, in_r, in_c, out_r, out_c)
-        if self.padding_factor == 1:
-            return np.fft.ifft2(np.fft.fft2(values) * table)
         in_r, in_c = _nonzero_box(values)
         out = np.zeros((n, n), dtype=complex)
         out[out_r, out_c] = self._apply_block(values[in_r, in_c], table, in_r, in_c, out_r, out_c)

@@ -1,10 +1,16 @@
 """Shared fixtures: the standard desk-scale grid and a mollified ball
-dilatation that many tests reuse."""
+dilatation that many tests reuse, and the half-width strategy of the
+scale-covariance property tests."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import qcplane as q
+
+# Grid half-widths 10**e, e in [-150, 150]: the grid's cell and domain
+# areas stay normal doubles, while squares of values of order 1/L do not.
+half_widths = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
 
 
 def cinf_bump(t):

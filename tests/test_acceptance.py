@@ -27,16 +27,15 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def ball_map():
-    config = q.ScenarioConfig(
-        kind="ball", grid_n=256, grid_l=8.0, c=0.5, center=3j, radius=1.0, mollify=0.25
-    )
+    config = q.ScenarioConfig(kind="ball", grid_n=256, grid_l=8.0, c=0.5, center=3j, radius=1.0)
     mu, _ = q.build_scenario(config)
     return q.solve_beltrami(mu, tol=1e-10)
 
 
 @pytest.fixture(scope="module")
 def sector_map():
-    return q.prop2_map(1.5, q.Grid(8.0, 256))
+    rho = q.prop2_map(1.5)
+    return rho, q.map_dilatation(rho, q.Grid(8.0, 256))
 
 
 def test_criterion_01_beurling_ball_oracle():

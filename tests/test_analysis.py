@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from conftest import half_widths
 from qcplane import analysis
 from qcplane.analysis import _dyadic_radii, _masses, _prefix
 
@@ -41,11 +42,26 @@ class TestCarlesonNorm:
         report = q.carleson_norm(density)
         assert abs(report.norm / RADIAL_ORACLE - 1.0) <= 0.05
 
-    def test_homogeneity(self, mu_half, density):
-        scaled = q.carleson_density(mu_half.scaled(0.5))
-        a = q.carleson_norm(density).norm
-        b = q.carleson_norm(scaled).norm
-        assert abs(b - 0.25 * a) <= 1e-12 * a
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half_width=half_widths,
+        rows=st.tuples(st.integers(0, 31), st.integers(1, 32)).filter(lambda r: r[0] < r[1]),
+        cols=st.tuples(st.integers(0, 31), st.integers(1, 32)).filter(lambda c: c[0] < c[1]),
+        t=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_homogeneity(self, half_width, rows, cols, t, seed):
+        # mu -> t mu scales the density, every ball mass and the sup by t^2
+        rng = np.random.default_rng(seed)
+        shape = (rows[1] - rows[0], cols[1] - cols[0])
+        values = np.zeros((32, 32), dtype=complex)
+        values[rows[0] : rows[1], cols[0] : cols[1]] = 0.9 * rng.uniform(0.1, 1.0, shape) * np.exp(
+            2j * np.pi * rng.uniform(0.0, 1.0, shape)
+        )
+        mu = q.BeltramiCoefficient(q.ComplexField(q.Grid(half_width, 32), values))
+        a = q.carleson_norm(q.carleson_density(mu)).norm
+        b = q.carleson_norm(q.carleson_density(mu.scaled(t))).norm
+        assert abs(b - t**2 * a) <= 1e-12 * t**2 * a
 
     def test_witness_reproduces(self, density):
         report = q.carleson_norm(density)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qcplane as q
 from qcplane.transforms import _lanczos_top
 
-from conftest import cinf_bump
+from conftest import cinf_bump, half_widths
 
 
 def windowed_noise(grid, ball, seed):
@@ -25,7 +25,7 @@ def mu_zero(grid256):
 
 
 def reference_solve(mu, phi, plan, tol=1e-10, max_iter=200):
-    """h <- Phi + mu S h on full n x n arrays, stopped on ||step - h||_2 <= tol."""
+    """h <- Phi + mu S h on full n x n arrays, stopped on ||step - h||_2 <= tol ||Phi||_2."""
     area = mu.grid.cell_area()
     h = phi.values.copy()
     history = []
@@ -33,7 +33,7 @@ def reference_solve(mu, phi, plan, tol=1e-10, max_iter=200):
         step = phi.values + mu.field.values * plan.apply(h, plan.multiplier_s)
         history.append(float(np.sqrt(area * (np.abs(step - h) ** 2).sum())))
         h = step
-        if history[-1] <= tol:
+        if history[-1] <= tol * q.norm(phi):
             break
     return h, history
 
@@ -147,14 +147,22 @@ class TestNeumannSolve:
         assert np.array_equal(report.solution.values, phi.values)
         assert report.iterations == 1 and report.residual_history == [0.0]
 
-    def test_linearity(self, grid256, ball256, mu_half):
-        f1 = windowed_noise(grid256, ball256, 11)
-        f2 = windowed_noise(grid256, ball256, 12)
-        f3 = q.bandlimited_noise(grid256, seed=13)  # unwindowed: nonzero out to the box edge
-        fa = q.ComplexField(grid256, 0.7 * f1.values - 0.4j * f2.values + 0.2 * f3.values)
-        sa = q.neumann_solve(mu_half, fa, tol=1e-12).solution
-        s1, s2, s3 = (q.neumann_solve(mu_half, f, tol=1e-12).solution for f in (f1, f2, f3))
-        combo = 0.7 * s1.values - 0.4j * s2.values + 0.2 * s3.values
+    @settings(max_examples=30, deadline=None)
+    @given(
+        half_width=half_widths,
+        boxes=st.lists(st.tuples(span_within(0, 32, 32), span_within(0, 32, 32)), min_size=3, max_size=3),
+        weights=st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linearity(self, half_width, boxes, weights, seed):
+        grid = q.Grid(half_width, 32)
+        mu = q.BeltramiCoefficient(boxed_field(grid, *boxes[0], seed, 0.6))
+        # two right-hand sides on boxes, and one nonzero out to the grid's edge
+        fs = [boxed_field(grid, *boxes[k], seed + k) for k in (1, 2)]
+        fs.append(boxed_field(grid, (0, 32), (0, 32), seed + 3))
+        combined = q.ComplexField(grid, sum(w * f.values for w, f in zip(weights, fs)))
+        sa = q.neumann_solve(mu, combined, tol=1e-12).solution
+        combo = sum(w * q.neumann_solve(mu, f, tol=1e-12).solution.values for w, f in zip(weights, fs))
         dev = q.norm(sa.with_values(sa.values - combo)) / q.norm(sa)
         assert dev <= 1e-10
 
@@ -307,6 +315,17 @@ class TestInverseWeightedBound:
     def test_identity_at_mu_zero(self, mu_zero):
         stats = q.inverse_weighted_bound(mu_zero)
         assert abs(stats.probe_c1_estimate - 1.0) <= 1e-10
+
+    def test_probe_stop_is_scale_free(self):
+        # the stop is relative to ||Phi||, so rescaling the grid by L moves
+        # no probe solve's stopping step, even where |Phi|^2 under- or overflows
+        counts = []
+        for half_width in (8.0, 1e-150, 1e150):
+            mu, _ = q.build_scenario(q.ScenarioConfig(kind="prop2", grid_n=32, grid_l=half_width))
+            stats = q.inverse_weighted_bound(mu)
+            assert stats.converged
+            counts.append(stats.iteration_count)
+        assert counts[0] == counts[1] == counts[2]
 
     def test_neumann_series_bound(self, mu_half):
         s = q.weighted_operator_norm(mu_half, tol=0.0, max_iter=40).weighted_norm_estimate

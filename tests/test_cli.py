@@ -135,7 +135,7 @@ class TestRun:
         grid = Grid(8.0, 64)
         pts = grid.points()
         if kind == "prop2":
-            rho, _ = prop2_map(1.5, grid)
+            rho = prop2_map(1.5)
         else:
             rho = ba_extension(lambda x: np.sign(x) * np.abs(x) ** (1.0 / 1.5))
         dbar, _ = rho._wirtinger(pts)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
@@ -67,10 +67,17 @@ class TestComplexField:
         with pytest.raises(ValueError):
             q.norm(f, "no-such-weight")
 
-    @pytest.mark.parametrize("half_width", [1e-150, 1e150])
-    def test_norm_scale_covariance(self, half_width):
-        # values of order 1/L: |f|^2 / |y| overflows at 1e-150 and underflows at 1e150
-        values = np.random.default_rng(0).standard_normal((32, 32)) + 0j
+    @pytest.mark.parametrize("extreme", [1e-150, 1e150])
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(t=1.0, seed=0)
+    @example(t=0.71875, seed=0)  # L ~ 6e107: every |f|^2 / |y| is subnormal, their sum is not
+    def test_norm_scale_covariance(self, extreme, t, seed):
+        # L = extreme**t runs from 1 to the extreme; values of order 1/L make
+        # |f|^2 / |y| overflow near 1e-150 and underflow near 1e150
+        half_width = extreme**t
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         unit = q.ComplexField(q.Grid(1.0, 32), values)
         scaled = q.ComplexField(q.Grid(half_width, 32), values / half_width)
         assert q.norm(scaled) == pytest.approx(q.norm(unit), rel=1e-12, abs=0.0)

@@ -1,13 +1,15 @@
 """Curve traces, chord-arc and regularity sweeps, the curve Cauchy operator,
 boundary-map extension, and the closed-form sector map."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
-from qcplane.geometry import _chord_arc_witness_ratio
+from qcplane.geometry import _chord_arc_witness_ratio, _dbar_and_mu
 
 # Frozen dense-discretization oracles for the sin curve t + 0.3i sin t on
 # [-2pi, 2pi]: the same sweeps evaluated on a 10x finer trace (10240 points,
@@ -272,15 +274,17 @@ class TestFdWirtinger:
 
 @pytest.fixture(scope="module")
 def sector(grid256):
-    return q.prop2_map(1.5, grid256)
+    rho = q.prop2_map(1.5)
+    dbar, mu = _dbar_and_mu(rho, grid256)
+    return replace(rho, dbar_field=dbar), mu
 
 
 class TestSectorMap:
-    def test_k_range(self, grid256):
+    def test_k_range(self):
         with pytest.raises(ValueError):
-            q.prop2_map(1.0, grid256)
+            q.prop2_map(1.0)
         with pytest.raises(ValueError):
-            q.prop2_map(2.0, grid256)
+            q.prop2_map(2.0)
 
     def test_modulus_power_law(self, sector):
         rho, _ = sector

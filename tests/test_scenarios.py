@@ -1,8 +1,10 @@
 """Scenario entry points: the stages they share report the same numbers."""
 
+import numpy as np
 import pytest
 
 import qcplane.scenarios
+from qcplane import Grid
 from qcplane.scenarios import ScenarioConfig, build_scenario, compare_theorem1, run_scenario, verify_theorem2
 
 
@@ -15,9 +17,15 @@ def test_build_scenario_builds_the_ball_once(monkeypatch):
         return indicator_ball(*args, **kwargs)
 
     monkeypatch.setattr(qcplane.scenarios, "indicator_ball", counted)
-    _, rho = build_scenario(ScenarioConfig(kind="ball", grid_n=32))
-    assert len(calls) == 1
-    assert rho is None
+    for radius in (1.0, 2.0):
+        calls.clear()
+        config = ScenarioConfig(kind="ball", grid_n=32, radius=radius)
+        mu, rho = build_scenario(config)
+        assert len(calls) == 1
+        assert rho is None
+        # the ball is mollified over radius/4
+        bump = indicator_ball(Grid(config.grid_l, 32), config.center, radius, mollify_width=radius / 4)
+        assert np.array_equal(mu.field.values, config.c * bump.values)
 
 
 @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
