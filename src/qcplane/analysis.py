@@ -149,7 +149,6 @@ def carleson_norm(nu: ComplexField) -> CarlesonReport:
     radii = _dyadic_radii(grid)
     centers = grid.x.astype(complex)
     family = {
-        "geometry": "line",
         "center_count": int(centers.size),
         "center_spacing": grid.spacing,
         "radii": [float(r) for r in radii],

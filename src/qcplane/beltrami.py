@@ -9,7 +9,7 @@ invertibility constant c1 measured over a probe family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .transforms import (
 __all__ = [
     "BeltramiCoefficient",
     "SolveReport",
-    "OperatorStats",
     "NonConvergenceError",
     "plan_for",
     "neumann_solve",
@@ -95,27 +94,25 @@ class SolveReport:
 
 
 @dataclass
-class OperatorStats:
-    """Measured operator quantities with their iteration provenance."""
+class LanczosRecord:
+    """The weighted norm of mu S and the Lanczos run that measured it."""
 
-    weighted_norm_estimate: float | None
+    weighted_norm_estimate: float
     iteration_count: int
-    relative_change_at_stop: float
-    probe_c1_estimate: float | None = None
-    probe_ratios: list[float] = dataclass_field(default_factory=list)
-    rayleigh_history: list[float] = dataclass_field(default_factory=list)
-    converged: bool = True
+    residual: float
+    converged: bool
+    rayleigh_history: list[float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weighted_norm_estimate": self.weighted_norm_estimate,
-            "iteration_count": int(self.iteration_count),
-            "relative_change_at_stop": self.relative_change_at_stop,
-            "probe_c1_estimate": self.probe_c1_estimate,
-            "probe_ratios": list(self.probe_ratios),
-            "rayleigh_history": list(self.rayleigh_history),
-            "converged": bool(self.converged),
-        }
+
+@dataclass
+class ProbeRecord:
+    """The probe estimate of c1 and the Neumann solves behind it."""
+
+    probe_c1_estimate: float
+    iteration_count: int
+    residual: float
+    converged: bool
+    probe_ratios: list[float]
 
 
 def neumann_solve(
@@ -152,7 +149,6 @@ def neumann_solve(
     if phi.grid != mu.grid:
         raise ValueError("phi grid does not match mu grid")
     plan = plan_for(mu.grid)
-    area = mu.grid.cell_area()
     # Each iterate is h_k = Phi + c_k with c_k = mu S h_{k-1}, which
     # vanishes off mu's nonzero box B.  So the iteration runs on B alone:
     # c_1 = mu S Phi, then c_k = c_1 + mu S c_{k-1}, and the step
@@ -169,7 +165,8 @@ def neumann_solve(
     for k in range(max_iter):
         if k:
             step = source + mu_box * plan.apply(c, plan.multiplier_s, *box, at=box)
-        residual = float(np.sqrt(area * (np.abs(step - c) ** 2).sum()))
+        # h sqrt(sum), not sqrt(h^2 sum), which is subnormal at an extreme L
+        residual = float(mu.grid.spacing * np.sqrt((np.abs(step - c) ** 2).sum()))
         history.append(residual)
         c = step
         if residual <= stop:
@@ -220,7 +217,7 @@ def weighted_operator_norm(
     tol: float = 1e-6,
     max_iter: int = 80,
     seed: int = 0,
-) -> OperatorStats:
+) -> LanczosRecord:
     """Norm estimate of A = mu S on L^2(dm/|y|) by Lanczos on A*A.
 
     The adjoint in the weighted inner product is
@@ -244,11 +241,11 @@ def weighted_operator_norm(
 
     Returns
     -------
-    OperatorStats
+    LanczosRecord
         weighted_norm_estimate = sqrt(top Ritz value),
         rayleigh_history = the Ritz values, iteration_count = Lanczos
-        steps, relative_change_at_stop = |theta_k - theta_{k-1}| / theta_k.
-        A zero mu stops at step 1 with theta = 0.
+        steps, residual = the last relative Ritz residual.  A zero mu
+        stops at step 1 with theta = 0 and residual 0.
     """
     grid = mu.grid
     plan = plan_for(grid)
@@ -270,14 +267,12 @@ def weighted_operator_norm(
         return out
 
     history, residual = _lanczos_top(apply, np.vdot, v / sqrt_y, tol, max_iter)
-    theta = history[-1]
-    rel_change = abs(theta - history[-2]) / theta if len(history) >= 2 else 0.0
-    return OperatorStats(
-        weighted_norm_estimate=float(np.sqrt(theta)),
+    return LanczosRecord(
+        weighted_norm_estimate=float(np.sqrt(history[-1])),
         iteration_count=len(history),
-        relative_change_at_stop=float(rel_change),
-        rayleigh_history=history,
+        residual=residual,
         converged=bool(tol <= 0 or residual <= tol),
+        rayleigh_history=history,
     )
 
 
@@ -308,13 +303,15 @@ def inverse_weighted_bound(
     probes: list[ComplexField] | None = None,
     tol: float = 1e-10,
     max_iter: int = 200,
-) -> OperatorStats:
+) -> ProbeRecord:
     """Empirical invertibility constant c1 of (I - mu S) in L^2(dm/|y|).
 
     For each probe Phi the solve h = (I - mu S)^{-1} Phi is performed
     and the ratio ||h||_w^2 / ||Phi||_w^2 recorded; the maximum over the
     probe family is the reported c1.  A finite family can only lower-
     bound the true constant, so the probe ratios ship with the estimate.
+    ``iteration_count`` sums the solves' steps; ``residual`` is the largest
+    final residual over its ||Phi||_2, which each stop compares with ``tol``.
     """
     if probes is None:
         probes = default_probes(mu.grid)
@@ -330,16 +327,15 @@ def inverse_weighted_bound(
             raise ValueError("probes must be nonzero")
         report = neumann_solve(mu, phi, tol=tol, max_iter=max_iter)
         iterations += report.iterations
-        worst_residual = max(worst_residual, report.residual_history[-1])
+        worst_residual = max(worst_residual, report.residual_history[-1] / norm(phi))
         all_converged = all_converged and report.converged
         ratios.append((norm(report.solution, "inv_abs_y") / w_phi) ** 2)
-    return OperatorStats(
-        weighted_norm_estimate=None,
-        iteration_count=iterations,
-        relative_change_at_stop=worst_residual,
+    return ProbeRecord(
         probe_c1_estimate=float(max(ratios)),
-        probe_ratios=[float(r) for r in ratios],
+        iteration_count=iterations,
+        residual=worst_residual,
         converged=all_converged,
+        probe_ratios=[float(r) for r in ratios],
     )
 
 

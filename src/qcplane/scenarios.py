@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from importlib.resources import files as _resource_files
 from pathlib import Path
@@ -291,8 +291,9 @@ class _Run:
 def run_scenario(config: ScenarioConfig) -> dict:
     """Full diagnostic pipeline; writes report.json, trace.csv, mu.bin.
 
-    The top-level ``converged`` is the AND of the weighted norm's, the
-    probe solves' and, when it ran, the solver's flags.  Raises
+    ``operator`` and ``invertibility`` each record an iteration count, a
+    final residual and a flag; the top-level ``converged`` is the AND of
+    those flags and, when it ran, the solver's.  Raises
     NonConvergenceError after writing a partial report flagged
     ``converged: false`` if the solver stalls.
     """
@@ -309,9 +310,9 @@ def run_scenario(config: ScenarioConfig) -> dict:
     write_field(mu.field, out / "mu.bin")
     # the probe solves first, so the probe family checked above is freed
     # before any other stage allocates
-    report["invertibility"] = run.invertibility.to_json_dict()
+    report["invertibility"] = asdict(run.invertibility)
     report["carleson"] = run.carleson.to_json_dict()
-    report["operator"] = run.operator.to_json_dict()
+    report["operator"] = asdict(run.operator)
 
     try:
         rho = run.rho

@@ -1,6 +1,8 @@
 """Neumann-series solver, weighted operator norms, invertibility probes,
 and the half-plane boundary problem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,7 +250,7 @@ class TestWeightedOperatorNorm:
 
     def test_stats_serialize(self, mu_half):
         stats = q.weighted_operator_norm(mu_half)
-        doc = stats.to_json_dict()
+        doc = dataclasses.asdict(stats)
         assert doc["weighted_norm_estimate"] == stats.weighted_norm_estimate
         assert len(stats.rayleigh_history) == stats.iteration_count
 
@@ -282,6 +284,7 @@ class TestWeightedOperatorNorm:
         assert stats.weighted_norm_estimate == 0.0 and stats.converged
         # Lanczos stops at step 1: A v = 0 spans an invariant subspace
         assert stats.iteration_count == 1 and stats.rayleigh_history == [0.0]
+        assert stats.residual == 0.0
 
     @pytest.mark.parametrize("seed", [2])
     def test_same_krylov_sequence_as_weighted_inner_product(self, seed):
@@ -319,13 +322,32 @@ class TestInverseWeightedBound:
     def test_probe_stop_is_scale_free(self):
         # the stop is relative to ||Phi||, so rescaling the grid by L moves
         # no probe solve's stopping step, even where |Phi|^2 under- or overflows
-        counts = []
-        for half_width in (8.0, 1e-150, 1e150):
-            mu, _ = q.build_scenario(q.ScenarioConfig(kind="prop2", grid_n=32, grid_l=half_width))
-            stats = q.inverse_weighted_bound(mu)
-            assert stats.converged
-            counts.append(stats.iteration_count)
-        assert counts[0] == counts[1] == counts[2]
+        def prop2(L):
+            return q.ScenarioConfig(kind="prop2", grid_n=32, grid_l=L)
+
+        def ball(L):
+            return q.ScenarioConfig(kind="ball", grid_n=32, grid_l=L, c=0.5, center=0.5j * L, radius=L / 8)
+
+        for config in (prop2, ball):
+            counts = []
+            for half_width in (8.0, 1e-150, 1e150):
+                mu, _ = q.build_scenario(config(half_width))
+                stats = q.inverse_weighted_bound(mu)
+                assert stats.converged
+                counts.append(stats.iteration_count)
+            assert counts[0] == counts[1] == counts[2]
+        # the ball's mu does not move with L (prop2's moves on the sector
+        # rays), so neither do its residuals relative to ||Phi||, even at
+        # L = 1e-150, where h^2 times an order-one sum of squares is subnormal
+        histories = {}
+        for half_width in (8.0, 1e-150):
+            mu, _ = q.build_scenario(ball(half_width))
+            histories[half_width] = [
+                np.array(q.neumann_solve(mu, phi).residual_history) / q.norm(phi)
+                for phi in q.default_probes(mu.grid)
+            ]
+        for base, small in zip(histories[8.0], histories[1e-150]):
+            assert np.max(np.abs(small / base - 1.0)) <= 1e-5
 
     def test_neumann_series_bound(self, mu_half):
         s = q.weighted_operator_norm(mu_half, tol=0.0, max_iter=40).weighted_norm_estimate

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,12 @@ class TestRun:
         assert run_cli(["theorem2", *argv])[0] == 0
         summary = json.loads((tmp_path / "theorem2.json").read_text())
         assert summary["energy"] == report["energy"]
+
+
+def test_every_schema_definition_is_referenced():
+    schema = qcplane.scenarios.report_schema()
+    refs = set(re.findall(r'"#/definitions/([^"]+)"', json.dumps(schema)))
+    assert refs == set(schema["definitions"])
 
 
 def assert_numbers_close(a, b, rtol, path):

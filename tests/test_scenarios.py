@@ -40,6 +40,18 @@ def test_theorem2_matches_run(tmp_path, kind):
     assert summary["energy"] == report["energy"]
 
 
+@pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
+def test_records_hold_what_their_stage_computes(tmp_path, kind):
+    config = ScenarioConfig(kind=kind, grid_n=64, out_dir=str(tmp_path))
+    report = run_scenario(config)
+    shared = {"iteration_count", "residual", "converged"}
+    assert set(report["operator"]) == shared | {"weighted_norm_estimate", "rayleigh_history"}
+    assert set(report["invertibility"]) == shared | {"probe_c1_estimate", "probe_ratios"}
+    # a converged record's residual is the quantity its stop compared with tol
+    for key, tol in (("operator", 1e-6), ("invertibility", config.tol)):
+        assert report[key]["converged"] and 0.0 <= report[key]["residual"] <= tol
+
+
 def test_theorem1_row_matches_run(tmp_path):
     configs = [ScenarioConfig(kind="ball", grid_n=32, c=c, out_dir=str(tmp_path)) for c in (0.2, 0.4, 0.6)]
     row = compare_theorem1(configs)["rows"][0]
