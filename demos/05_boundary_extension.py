@@ -6,7 +6,7 @@ The extension averages the boundary data over expanding windows:
     Im rho = (1/2) int_0^1 [f(x+ty) - f(x-ty)] dt
 
 It is quasiconformal whenever f is quasisymmetric, and its dilatation
-can be measured like any other map's.
+is measured from its exact Wirtinger pair.
 """
 
 import numpy as np

@@ -64,7 +64,10 @@ class Grid:
         for name, area in (("cell area", self.spacing * self.spacing), ("domain area", width * width)):
             if not (np.isfinite(area) and area >= np.finfo(float).tiny):
                 raise ValueError(f"half_width {half_width} gives a {name} of {area}, not a normal double")
-        axis = -self.half_width + (np.arange(self.n) + 0.5) * self.spacing
+        # built from its upper half, so that axis[::-1] == -axis exactly:
+        # -L + (k + 1/2) h rounds differently on the two sides at an extreme L
+        upper = (np.arange(self.n // 2) + 0.5) * self.spacing
+        axis = np.concatenate([-upper[::-1], upper])
         axis.setflags(write=False)
         self.axis = axis
         self.stagger = 0.5 * self.spacing

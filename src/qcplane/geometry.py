@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .field import BeltramiCoefficient, ComplexField, Grid
-from .transforms import _FD_WEIGHTS, _lanczos_top
+from .transforms import _lanczos_top
 
 __all__ = [
     "MapEvaluator",
@@ -27,7 +27,6 @@ __all__ = [
     "curve_cauchy_operator",
     "regularity_check",
     "ba_extension",
-    "fd_wirtinger",
     "map_dilatation",
     "prop2_map",
 ]
@@ -50,7 +49,7 @@ class MapEvaluator:
         Solver report when applicable.
     _wirtinger : callable, optional
         Exact z -> (dbar rho, d rho) off the real axis, set by the
-        closed-form maps; without it :func:`map_dilatation` differences.
+        closed-form maps; :func:`map_dilatation` needs it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -400,35 +399,11 @@ def ba_extension(f) -> MapEvaluator:
     return MapEvaluator(evaluate, provenance="extension", _wirtinger=wirtinger)
 
 
-def fd_wirtinger(rho: MapEvaluator, points: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centered order-6 finite-difference Wirtinger derivatives (dbar, d) of a map.
-
-    The stencil reaches ``3 * steps`` from each point along both axes;
-    callers whose map is only piecewise smooth must keep that reach
-    inside one smooth piece.
-    """
-    points = np.asarray(points, dtype=complex)
-    steps = np.broadcast_to(np.asarray(steps, dtype=float), points.shape)
-    fx = np.zeros(points.shape, dtype=complex)
-    fy = np.zeros(points.shape, dtype=complex)
-    for m, c in enumerate(_FD_WEIGHTS[6], start=1):
-        fx += c * (rho(points + m * steps) - rho(points - m * steps))
-        fy += c * (rho(points + 1j * m * steps) - rho(points - 1j * m * steps))
-    fx /= steps
-    fy /= steps
-    dbar = 0.5 * (fx + 1j * fy)
-    d = 0.5 * (fx - 1j * fy)
-    return dbar, d
-
-
 def _dbar_and_mu(rho: MapEvaluator, grid: Grid) -> tuple[ComplexField, BeltramiCoefficient]:
-    """(dbar rho, mu) on the grid, from the map's exact pair when it has one,
-    else by finite differences."""
-    pts = grid.points()
-    if rho._wirtinger is not None:
-        dbar, d = rho._wirtinger(pts)
-    else:
-        dbar, d = fd_wirtinger(rho, pts, 0.125 * np.abs(pts.imag))
+    """(dbar rho, mu) on the grid, from the map's exact Wirtinger pair."""
+    if rho._wirtinger is None:
+        raise ValueError("map_dilatation needs a map with an exact Wirtinger pair")
+    dbar, d = rho._wirtinger(grid.points())
     return ComplexField(grid, dbar), BeltramiCoefficient(ComplexField(grid, dbar / d))
 
 
@@ -436,14 +411,15 @@ def map_dilatation(rho: MapEvaluator, grid: Grid) -> BeltramiCoefficient:
     """Dilatation mu = dbar(rho)/d(rho) sampled on the grid.
 
     Both closed-form maps, :func:`ba_extension` and :func:`prop2_map`,
-    are sampled alike, through their exact Wirtinger pairs.  Any other
-    map is differenced by the order-6 stencil with step |Im z|/8 at each
-    sample, which keeps the stencil inside one half-plane (required for
-    maps defined by reflection) and makes the relative truncation error
-    uniform for maps with power-law behavior near the axis.
+    are sampled alike, through their exact Wirtinger pairs.
 
     The result is truncated to the grid box, so a non-compact dilatation
     is represented by its restriction to the box.
+
+    Raises
+    ------
+    ValueError
+        If the map carries no exact Wirtinger pair.
     """
     return _dbar_and_mu(rho, grid)[1]
 

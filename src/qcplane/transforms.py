@@ -486,7 +486,8 @@ def _chunked_kernel_sum(targets: np.ndarray, sources: np.ndarray, block_sum) -> 
 
 
 # Antisymmetric centered first-derivative weights for offsets 1..p at
-# order 2p, shared by the grid and the pointwise (Wirtinger) stencils.
+# order 2p: order 6 for dbar_fd/d_fd, order 2 for the near-field
+# gradients of cauchy_at_points.
 _FD_WEIGHTS = {
     2: (0.5,),
     6: (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0),

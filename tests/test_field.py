@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from conftest import half_widths
 
 
 class TestGrid:
@@ -33,6 +34,15 @@ class TestGrid:
         assert grid.x[-1] == 8.0 - h / 2
         # no sample sits on either axis
         assert np.all(np.abs(grid.x) >= h / 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(half_width=half_widths, n=st.sampled_from([16, 32, 64, 128, 256, 512]))
+    @example(half_width=1e-150, n=256)
+    def test_axis_is_antisymmetric(self, half_width, n):
+        # prop2's sector test compares |x| with |y|, so cells mirrored
+        # through either axis must have exactly negated coordinates
+        axis = q.Grid(half_width, n).axis
+        assert np.array_equal(axis[::-1], -axis)
 
     def test_points_axis_convention(self):
         grid = q.Grid(8.0, 64)

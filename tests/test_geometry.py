@@ -26,6 +26,21 @@ SIN_CAUCHY_ESTIMATE = 0.5106431335543907
 LINE_CAUCHY_ESTIMATE = 0.49828981145863005
 
 
+def interior(grid, margin=4):
+    """Cells at least ``margin`` cells from the box edge, where the periodic
+    wrap of the grid stencil does not reach."""
+    inside = np.zeros(grid.n, dtype=bool)
+    inside[margin:-margin] = True
+    return inside[:, None] & inside[None, :]
+
+
+def wirtinger_and_stencil(rho, grid):
+    """(dbar, d) of a map from its exact pair and from the grid stencil."""
+    pts = grid.points()
+    sampled = q.ComplexField(grid, rho(pts))
+    return (*rho._wirtinger(pts), q.dbar_fd(sampled).values, q.d_fd(sampled).values)
+
+
 def sin_trace(m, scale=1.0):
     t = np.linspace(-2 * np.pi, 2 * np.pi, m)
     return q.CurveTrace(t, scale * (t + 0.3j * np.sin(t)))
@@ -236,15 +251,20 @@ class TestBaExtension:
             q.ba_extension(lf)
 
     def test_exact_pair_matches_finite_differences(self):
+        # the grid stencil of dbar_fd/d_fd, applied to rho sampled on a
+        # grid, on cells whose stencil reaches neither the box edge nor
+        # the real axis, where the reflection makes rho non-smooth
         rho = q.ba_extension(lambda x: x + 0.5 * np.tanh(x))
+        grid = q.Grid(4.0, 256)
+        dbar, d, fd_dbar, fd_d = wirtinger_and_stencil(rho, grid)
+        keep = interior(grid) & (np.abs(grid.points().imag) > 0.2)
+        for half in (grid.points().imag > 0, grid.points().imag < 0):
+            cells = keep & half
+            scale = np.max(np.abs(fd_d[cells]))
+            assert np.max(np.abs(dbar - fd_dbar)[cells]) <= 1e-7 * scale
+            assert np.max(np.abs(d - fd_d)[cells]) <= 1e-7 * scale
         rng = np.random.default_rng(3)
         upper = rng.uniform(-4, 4, 100) + 1j * rng.uniform(0.2, 4, 100)
-        for zs in (upper, np.conj(upper)):
-            dbar, d = rho._wirtinger(zs)
-            fd_dbar, fd_d = q.fd_wirtinger(rho, zs, 1e-3 * np.abs(zs.imag))
-            scale = np.max(np.abs(fd_d))
-            assert np.max(np.abs(dbar - fd_dbar)) <= 1e-7 * scale
-            assert np.max(np.abs(d - fd_d)) <= 1e-7 * scale
         dbar, d = rho._wirtinger(upper)
         dbar_low, d_low = rho._wirtinger(np.conj(upper))
         assert np.max(np.abs(dbar_low - np.conj(dbar))) <= 1e-15 * np.max(np.abs(dbar))
@@ -258,18 +278,10 @@ class TestBaExtension:
         assert sup == pytest.approx(0.4608, abs=0.01)
 
 
-class TestFdWirtinger:
-    def test_polynomial_derivatives(self):
-        rho = q.MapEvaluator(lambda z: z**2 + 0.3 * np.conj(z), provenance="closed-form")
-        pts = np.array([1.0 + 1.0j, -2.0 + 0.5j, 0.3 - 1.2j])
-        dbar, d = q.fd_wirtinger(rho, pts, 1e-2 * np.ones(3))
-        assert np.max(np.abs(dbar - 0.3)) <= 1e-9
-        assert np.max(np.abs(d - 2.0 * pts)) <= 1e-9
-
-    def test_map_dilatation_differences_other_maps(self):
-        rho = q.MapEvaluator(lambda z: z + 0.3 * np.conj(z), provenance="closed-form")
-        mu = q.map_dilatation(rho, q.Grid(4.0, 32))
-        assert np.max(np.abs(mu.field.values - 0.3)) <= 1e-10
+def test_map_dilatation_needs_an_exact_pair():
+    rho = q.MapEvaluator(lambda z: z + 0.3 * np.conj(z), provenance="closed-form")
+    with pytest.raises(ValueError, match="exact Wirtinger pair"):
+        q.map_dilatation(rho, q.Grid(4.0, 32))
 
 
 @pytest.fixture(scope="module")
@@ -319,17 +331,24 @@ class TestSectorMap:
         mid = np.abs(mu.field.values[~on_axis_sectors])
         assert np.max(np.abs(mid - (1.0 - 1.0 / 1.5))) <= 1e-15
 
-    def test_exact_pair_matches_finite_differences(self, sector):
-        rho, _ = sector
-        rng = np.random.default_rng(4)
-        z = rng.uniform(-7, 7, 400) + 1j * rng.uniform(-7, 7, 400)
-        # keep the stencil inside one smooth piece: away from the sector rays
-        ray_gap = np.min(np.abs(np.abs(np.angle(z))[:, None] - [0.25 * np.pi, 0.75 * np.pi]), axis=1)
-        z = z[(ray_gap > 0.05) & (np.abs(z) > 0.5)]
-        dbar, d = rho._wirtinger(z)
-        fd_dbar, fd_d = q.fd_wirtinger(rho, z, 1e-4 * np.abs(z))
-        assert np.max(np.abs(dbar - fd_dbar) / np.abs(fd_d)) <= 1e-7
-        assert np.max(np.abs(d - fd_d) / np.abs(fd_d)) <= 1e-7
+    def test_exact_pair_matches_finite_differences(self):
+        # the grid stencil on cells whose stencil stays inside one smooth
+        # piece: off the box edge, the origin and the sector rays |y| = |x|
+        grid = q.Grid(8.0, 512)
+        dbar, d, fd_dbar, fd_d = wirtinger_and_stencil(q.prop2_map(1.5), grid)
+        pts = grid.points()
+        ray_gap = np.abs(np.abs(pts.real) - np.abs(pts.imag))
+        cells = interior(grid) & (np.abs(pts.imag) > 1.0) & (ray_gap > 4 * grid.spacing)
+        assert np.max(np.abs(dbar - fd_dbar)[cells] / np.abs(fd_d[cells])) <= 1e-7
+        assert np.max(np.abs(d - fd_d)[cells] / np.abs(fd_d[cells])) <= 1e-7
+
+    @pytest.mark.parametrize("half_width", [1e-150, 1e150])
+    def test_dilatation_is_scale_free(self, sector, half_width):
+        # mu is homogeneous of degree 0, and the antisymmetric axis keeps
+        # the cells on the sector rays on the same branch at every L
+        _, mu = sector
+        scaled = q.map_dilatation(q.prop2_map(1.5), q.Grid(half_width, 256))
+        assert np.max(np.abs(scaled.field.values - mu.field.values)) <= 1e-12
 
     def test_boundary_image_chord_arc(self, sector):
         rho, _ = sector
