@@ -21,6 +21,7 @@ from .transforms import (
     _lanczos_top,
     _LRUCache,
     _nonzero_box,
+    _stack_limit,
     cauchy_at_points,
     cauchy_line_derivative,
     cauchy_plane,
@@ -140,56 +141,101 @@ def neumann_solve(
     max_iter : int
         At least 1.
 
-    The products run on the grid's cached padding-2 plan.
+    The products run on the grid's cached padding-2 plan.  This is the
+    iteration :func:`inverse_weighted_bound` runs on a stack of
+    right-hand sides, with a stack of one; each of its solves is this
+    one's bit for bit.
+    """
+    return _neumann_stack(mu, [phi], [norm(phi)], tol, max_iter)[0]
+
+
+def _neumann_stack(
+    mu: BeltramiCoefficient,
+    phis: list[ComplexField],
+    phi_norms: list[float],
+    tol: float,
+    max_iter: int,
+) -> list[SolveReport]:
+    """:func:`neumann_solve` of each Phi, given ||Phi||_2, as one iteration.
+
+    Each iterate is h_k = Phi + c_k with c_k = mu S h_{k-1}, which
+    vanishes off mu's nonzero box B.  So the iteration runs on B alone:
+    c_1 = mu S Phi, then c_k = c_1 + mu S c_{k-1}, and the step
+    h_k - h_{k-1} = c_k - c_{k-1} is zero off B.  Every c lives on B, so
+    the right-hand sides iterate together: each step is one apply to the
+    stack of the unconverged c's, and a member leaves the stack at its
+    own stop.  A stack holds at most ``_stack_limit`` members, so its
+    workspace stays within one full-box window, and larger families run
+    in chunks, in order; a full-box mu gives stacks of one.  The sources
+    mu S Phi are applied one by one, from each Phi's own box.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if phi.grid != mu.grid:
+    if any(phi.grid != mu.grid for phi in phis):
         raise ValueError("phi grid does not match mu grid")
-    plan = plan_for(mu.grid)
-    # Each iterate is h_k = Phi + c_k with c_k = mu S h_{k-1}, which
-    # vanishes off mu's nonzero box B.  So the iteration runs on B alone:
-    # c_1 = mu S Phi, then c_k = c_1 + mu S c_{k-1}, and the step
-    # h_k - h_{k-1} = c_k - c_{k-1} is zero off B.
+    grid = mu.grid
+    plan = plan_for(grid)
     box = _nonzero_box(mu.field.values)
     mu_box = mu.field.values[box]
-    phi_box = _nonzero_box(phi.values)
-    source = mu_box * plan.apply(phi.values[phi_box], plan.multiplier_s, *box, at=phi_box)
-    c = np.zeros_like(source)
-    step = source
-    stop = tol * norm(phi)
+    limit = _stack_limit(grid.n, box)
     # below this sum of squares, subnormal squares can move it
-    small_sum = source.size * np.finfo(float).tiny / np.finfo(float).eps
-    history: list[float] = []
-    converged = False
-    for k in range(max_iter):
-        if k:
-            step = source + mu_box * plan.apply(c, plan.multiplier_s, *box, at=box)
-        gap = np.abs(step - c)
-        sum_sq = (gap**2).sum()
-        # h sqrt(sum), not sqrt(h^2 sum), which is subnormal at an extreme L
-        residual = mu.grid.spacing * np.sqrt(sum_sq)
-        if sum_sq < small_sum:
-            # gaps of order 1/L at an extreme L: square them over the
-            # largest, as field.norm's fallback does
-            scale = gap.max()
-            if scale > 0.0:
-                residual = mu.grid.spacing * np.sqrt(((gap / scale) ** 2).sum()) * scale
-        history.append(float(residual))
-        c = step
-        if residual <= stop:
-            converged = True
-            break
-    h = phi.values.copy()
-    h[box] += c
-    return SolveReport(
-        solution=ComplexField(mu.grid, h),
-        residual_history=history,
-        converged=converged,
-        tolerance=tol,
-    )
+    small_sum = mu_box.size * np.finfo(float).tiny / np.finfo(float).eps
+    reports: list[SolveReport] = []
+    for first in range(0, len(phis), limit):
+        chunk = range(first, min(first + limit, len(phis)))
+        source = np.empty((len(chunk), *mu_box.shape), dtype=complex)
+        for j, i in enumerate(chunk):
+            phi_box = _nonzero_box(phis[i].values)
+            block = phis[i].values[phi_box][None]
+            np.multiply(mu_box, plan.apply(block, plan.multiplier_s, *box, at=phi_box), out=source[j : j + 1])
+        stop = tol * np.array([phi_norms[i] for i in chunk])
+        members = np.arange(len(chunk))
+        histories: list[list[float]] = [[] for _ in chunk]
+        finals: dict[int, np.ndarray] = {}  # each member's last c
+        converged = [False] * len(chunk)
+        c = np.zeros_like(source)
+        step = source
+        for k in range(max_iter):
+            if k:
+                step = source + mu_box * plan.apply(c, plan.multiplier_s, *box, at=box)
+            gap = np.abs(step - c)
+            sum_sq = (gap**2).sum(axis=(1, 2))
+            # h sqrt(sum), not sqrt(h^2 sum), which is subnormal at an extreme L
+            residual = grid.spacing * np.sqrt(sum_sq)
+            for j in np.flatnonzero(sum_sq < small_sum):
+                # gaps of order 1/L at an extreme L: square them over the
+                # largest, as field.norm's fallback does
+                scale = gap[j].max()
+                if scale > 0.0:
+                    residual[j] = grid.spacing * np.sqrt(((gap[j] / scale) ** 2).sum()) * scale
+            for j, m in enumerate(members):
+                histories[m].append(float(residual[j]))
+            c = step
+            done = residual <= stop
+            if done.any():
+                for j in np.flatnonzero(done):
+                    finals[int(members[j])] = c[j]
+                    converged[members[j]] = True
+                keep = ~done
+                members, source, c, stop = members[keep], source[keep], c[keep], stop[keep]
+                if not members.size:
+                    break
+        for j, m in enumerate(members):
+            finals[int(m)] = c[j]
+        for m, i in enumerate(chunk):
+            h = phis[i].values.copy()
+            h[box] += finals[m]
+            reports.append(
+                SolveReport(
+                    solution=ComplexField(grid, h),
+                    residual_history=histories[m],
+                    converged=converged[m],
+                    tolerance=tol,
+                )
+            )
+    return reports
 
 
 def solve_beltrami(
@@ -320,6 +366,8 @@ def inverse_weighted_bound(
     and the ratio ||h||_w^2 / ||Phi||_w^2 recorded; the maximum over the
     probe family is the reported c1.  A finite family can only lower-
     bound the true constant, so the probe ratios ship with the estimate.
+    The solves are :func:`neumann_solve`'s, run as one iteration over
+    the stacked family, each probe stopping on its own residual.
     ``iteration_count`` sums the solves' steps; ``residual`` is the largest
     final residual over its ||Phi||_2, which each stop compares with ``tol``.
     """
@@ -327,24 +375,17 @@ def inverse_weighted_bound(
         probes = default_probes(mu.grid)
     if not probes:
         raise ValueError("probe family must be nonempty")
-    ratios: list[float] = []
-    iterations = 0
-    worst_residual = 0.0
-    all_converged = True
-    for phi in probes:
-        w_phi = norm(phi, "inv_abs_y")
-        if w_phi == 0.0:
-            raise ValueError("probes must be nonzero")
-        report = neumann_solve(mu, phi, tol=tol, max_iter=max_iter)
-        iterations += report.iterations
-        worst_residual = max(worst_residual, report.residual_history[-1] / norm(phi))
-        all_converged = all_converged and report.converged
-        ratios.append((norm(report.solution, "inv_abs_y") / w_phi) ** 2)
+    w_phis = [norm(phi, "inv_abs_y") for phi in probes]
+    if 0.0 in w_phis:
+        raise ValueError("probes must be nonzero")
+    phi_norms = [norm(phi) for phi in probes]
+    reports = _neumann_stack(mu, probes, phi_norms, tol, max_iter)
+    ratios = [(norm(r.solution, "inv_abs_y") / w) ** 2 for r, w in zip(reports, w_phis)]
     return ProbeRecord(
         probe_c1_estimate=float(max(ratios)),
-        iteration_count=iterations,
-        residual=worst_residual,
-        converged=all_converged,
+        iteration_count=sum(r.iterations for r in reports),
+        residual=max(r.residual_history[-1] / n for r, n in zip(reports, phi_norms)),
+        converged=all(r.converged for r in reports),
         probe_ratios=[float(r) for r in ratios],
     )
 

@@ -9,7 +9,7 @@ rule; convergence is tested, not assumed.
 from __future__ import annotations
 
 import struct
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -260,12 +260,28 @@ def indicator_ball(
     cx, cy = float(np.real(center)), float(np.imag(center))
     if abs(cx) + radius > L or abs(cy) + radius > L:
         raise ValueError(f"ball B({center}, {radius}) escapes the domain [-{L}, {L}]^2")
-    dist = np.abs(grid.points() - center)
-    if mollify_width == 0.0:
-        values = (dist <= radius).astype(complex)
-    else:
-        values = _smooth_step((radius - dist) / mollify_width).astype(complex)
+    # every cell off the ball's bounding box lies farther than radius
+    # from the center, where both profiles are exactly 0
+    rows, cols = (np.flatnonzero(np.abs(grid.axis - c) <= radius) for c in (cx, cy))
+    values = np.zeros((grid.n, grid.n), dtype=complex)
+    if rows.size and cols.size:
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        dist = np.abs(grid.axis[box[0], None] + 1j * grid.axis[None, box[1]] - center)
+        if mollify_width == 0.0:
+            values[box] = dist <= radius
+        else:
+            values[box] = _smooth_step((radius - dist) / mollify_width)
     return ComplexField(grid, values)
+
+
+@lru_cache(maxsize=8)
+def _outside_band(grid: Grid, cutoff: float) -> np.ndarray:
+    """Read-only mask of the lattice frequencies with |xi| > cutoff / h,
+    shared by every seed of :func:`bandlimited_noise` on one grid."""
+    freq = np.fft.fftfreq(grid.n, d=grid.spacing)
+    mask = np.hypot(freq[:, None], freq[None, :]) > cutoff / grid.spacing
+    mask.setflags(write=False)
+    return mask
 
 
 def bandlimited_noise(grid: Grid, seed: int, cutoff: float = 0.25) -> ComplexField:
@@ -288,9 +304,7 @@ def bandlimited_noise(grid: Grid, seed: int, cutoff: float = 0.25) -> ComplexFie
         raise ValueError("cutoff must lie in (0, 1/2]")
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    freq = np.fft.fftfreq(grid.n, d=grid.spacing)
-    xi_abs = np.hypot(freq[:, None], freq[None, :])
-    coeff[xi_abs > cutoff / grid.spacing] = 0.0
+    coeff[_outside_band(grid, cutoff)] = 0.0
     coeff[0, 0] = 0.0
     values = np.fft.ifft2(coeff)
     scale = np.sqrt(grid.cell_area() * (np.abs(values) ** 2).sum())

@@ -151,6 +151,12 @@ def _chord_arc_witness_ratio(trace: CurveTrace, i: int, j: int) -> float:
     return float((trace.cum_length[j] - trace.cum_length[i]) / chord)
 
 
+def _rows_per_block(width: int, entry_bytes: int) -> int:
+    """Rows of ``width`` entries per block of a pairwise sweep, so that a
+    block's temporaries, about ``entry_bytes`` per entry, stay near 256 KiB."""
+    return max(1, (256 * 1024) // (entry_bytes * width))
+
+
 # the central fraction of a trace's parameter interval that chord_arc_constant sweeps
 _CHORD_ARC_WINDOW = 0.5
 
@@ -176,15 +182,24 @@ def chord_arc_constant(trace: CurveTrace) -> ChordArcReport:
         raise ValueError("window contains fewer than two trace points")
     pts, cum = trace.points[idx], trace.cum_length[idx]
     best, best_pair = 0.0, (int(idx[0]), int(idx[1]))
-    for a in range(idx.size - 1):
-        chords = np.abs(pts[a + 1 :] - pts[a])
-        if np.any(chords == 0.0):
+    # Row a - first of a block holds the pairs (a, b) at column b - first - 1.
+    # Pairs with b <= a have arcs <= 0, so their ratios never beat best >= 0.
+    # A block's first maximum in row-major order is the first of the
+    # sweep's maxima in that block; keeping it only when it beats every
+    # earlier block keeps the first maximum of the whole sweep.
+    step = _rows_per_block(idx.size, 48)
+    for first in range(0, idx.size - 1, step):
+        last = min(first + step, idx.size - 1)
+        upper = np.arange(idx.size - first - 1)[None, :] >= np.arange(last - first)[:, None]
+        chords = np.abs(pts[None, first + 1 :] - pts[first:last, None])
+        if np.any(chords[upper] == 0.0):
             raise ValueError("coincident trace points")
-        ratios = (cum[a + 1 :] - cum[a]) / chords
-        b = int(np.argmax(ratios))
-        if ratios[b] > best:
-            best = float(ratios[b])
-            best_pair = (int(idx[a]), int(idx[a + 1 + b]))
+        chords[~upper] = 1.0
+        ratios = (cum[None, first + 1 :] - cum[first:last, None]) / chords
+        a, b = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if ratios[a, b] > best:
+            best = float(ratios[a, b])
+            best_pair = (int(idx[first + a]), int(idx[first + 1 + b]))
     return ChordArcReport(
         constant=best,
         witness=best_pair,
@@ -296,11 +311,12 @@ def regularity_check(trace: CurveTrace) -> float:
     radii = r0 * 2.0 ** np.arange(int(np.floor(np.log2(r1 / r0))) + 1)
     centers = trace.strided(256).points
     best = 0.0
-    for z0 in centers:
-        dist = np.abs(mid - z0)
+    step = _rows_per_block(seg.size, 24)
+    for first in range(0, centers.size, step):
+        dist = np.abs(mid[None, :] - centers[first : first + step, None])
         for r in radii:
-            mass = float(seg[dist <= r].sum())
-            best = max(best, mass / r)
+            mass = np.where(dist <= r, seg, 0.0).sum(axis=1)
+            best = max(best, float((mass / r).max()))
     return best
 
 

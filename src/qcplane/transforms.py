@@ -124,13 +124,20 @@ class SpectralPlan:
     entries far smaller.  Both caches are locked and their arrays
     read-only, so a plan is safe to share across threads.
 
+    A block-form apply takes a stack of p blocks at one input box,
+    shape (p, |I rows|, |I cols|), and returns the p output blocks on O:
+    the same four transforms run along the last two axes of p windows,
+    so one call serves a family of inputs confined to one box.  A 2-D
+    block is a stack of one.
+
     The four transforms of an apply run in place on one complex
     workspace per plan and per thread, which grows to the largest
-    window that thread has served and is reused by every smaller one.
-    It holds at most 16 next_fast_len(2n - 1)^2 bytes, 1 MiB at n = 128
-    and 16 MiB at n = 512, and lives as long as the plan and the
-    thread.  Every apply returns a fresh array; no view of the
-    workspace reaches a caller.
+    stack of windows that thread has served and is reused by every
+    smaller one.  It lives as long as the plan and the thread.  Callers
+    hold a stack to ``_stack_limit`` blocks, which keeps p times the
+    window within 16 next_fast_len(2n - 1)^2 bytes, the size of one
+    full-box window (1 MiB at n = 128, 16 MiB at n = 512).  Every apply
+    returns a fresh array; no view of the workspace reaches a caller.
     """
 
     def __init__(self, grid: Grid, padding_factor: int = 2):
@@ -182,13 +189,16 @@ class SpectralPlan:
         (rows, cols) box ``at``, the input being zero elsewhere, and the
         result is the block of the output on O alone.  No n x n array is
         built or scanned, so an iteration confined to one box stays
-        box-sized; at padding 1 it is the periodic convolution.
+        box-sized; at padding 1 it is the periodic convolution.  A stack
+        of blocks at that box, shape (p, |at rows|, |at cols|), gives the
+        stack of their output blocks, shape (p, |rows|, |cols|).
         """
         n = self.grid.n
         out_r, out_c = _contiguous(n, rows, "rows"), _contiguous(n, cols, "cols")
         if at is not None:
             in_r, in_c = _contiguous(n, at[0], "at rows"), _contiguous(n, at[1], "at cols")
-            if values.shape != (in_r.stop - in_r.start, in_c.stop - in_c.start):
+            shape = (in_r.stop - in_r.start, in_c.stop - in_c.start)
+            if values.ndim not in (2, 3) or values.shape[-2:] != shape:
                 raise ValueError(f"block of shape {values.shape} does not fill the box {at}")
             return self._apply_block(values, table, in_r, in_c, out_r, out_c)
         in_r, in_c = _nonzero_box(values)
@@ -197,33 +207,37 @@ class SpectralPlan:
         return out
 
     def _apply_block(self, block, table, in_r, in_c, out_r, out_c) -> np.ndarray:
-        """The output block on out_r x out_c of the input block at in_r x in_c."""
+        """The output block on out_r x out_c of the input block at in_r x in_c,
+        for each block of a (p, rows, cols) stack; a 2-D block is a stack of one."""
+        if block.ndim == 2:
+            return self._apply_block(block[None], table, in_r, in_c, out_r, out_c)[0]
+        p = block.shape[0]
         box = (in_r, in_c, out_r, out_c)
-        if any(s.start == s.stop for s in box):
-            return np.zeros((out_r.stop - out_r.start, out_c.stop - out_c.start), dtype=complex)
+        if p == 0 or any(s.start == s.stop for s in box):
+            return np.zeros((p, out_r.stop - out_r.start, out_c.stop - out_c.start), dtype=complex)
         window = self._window(table, *box)
         m_rows, m_cols = window.shape
-        size = m_rows * m_cols
+        size = p * m_rows * m_cols
         buffer = getattr(self._local, "buffer", None)
         if buffer is None or buffer.size < size:
             buffer = self._local.buffer = np.empty(size, dtype=complex)
-        ws = buffer[:size].reshape(m_rows, m_cols)
+        ws = buffer[:size].reshape(p, m_rows, m_cols)
         # The strided column transforms run only on the input columns,
         # before the zero columns are padded in, and on the output
         # columns, after the row inverse; output cell o sits at
         # o - out.start + |I| - 1 of the convolution on each axis.
-        i_rows, i_cols = block.shape
+        i_rows, i_cols = block.shape[1:]
         r0, c0 = i_rows - 1, i_cols - 1
-        ws[:i_rows, :i_cols] = block
-        ws[i_rows:, :i_cols] = 0.0
-        ws[:, i_cols:] = 0.0
-        _transform_in_place(scipy.fft.fft, ws[:, :i_cols], axis=0)
-        _transform_in_place(scipy.fft.fft, ws, axis=1)
+        ws[:, :i_rows, :i_cols] = block
+        ws[:, i_rows:, :i_cols] = 0.0
+        ws[:, :, i_cols:] = 0.0
+        _transform_in_place(scipy.fft.fft, ws[:, :, :i_cols], axis=1)
+        _transform_in_place(scipy.fft.fft, ws, axis=2)
         ws *= window
-        _transform_in_place(scipy.fft.ifft, ws, axis=1)
-        band = ws[:, c0 : c0 + out_c.stop - out_c.start]
-        _transform_in_place(scipy.fft.ifft, band, axis=0)
-        return band[r0 : r0 + out_r.stop - out_r.start].copy()
+        _transform_in_place(scipy.fft.ifft, ws, axis=2)
+        band = ws[:, :, c0 : c0 + out_c.stop - out_c.start]
+        _transform_in_place(scipy.fft.ifft, band, axis=1)
+        return band[:, r0 : r0 + out_r.stop - out_r.start].copy()
 
     def _window(self, table, in_r, in_c, out_r, out_c) -> np.ndarray:
         """FFT of kappa at the offsets out - in, zero-padded to a fast size."""
@@ -261,6 +275,14 @@ def _contiguous(n: int, span: slice | None, name: str) -> slice:
     if r.step != 1:
         raise ValueError(f"{name} must be a contiguous slice")
     return slice(r.start, max(r.start, r.stop))
+
+
+def _stack_limit(n: int, box: tuple[slice, slice]) -> int:
+    """Most blocks at ``box`` that one stacked apply from ``box`` to itself
+    may hold: as many of its windows as fill one full-box window of the
+    n x n grid, and at least one, so a full-box stack holds one block."""
+    extent = [scipy.fft.next_fast_len(max(1, 2 * (s.stop - s.start) - 1)) for s in box]
+    return max(1, scipy.fft.next_fast_len(2 * n - 1) ** 2 // (extent[0] * extent[1]))
 
 
 def _nonzero_box(values: np.ndarray) -> tuple[slice, slice]:

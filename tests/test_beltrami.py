@@ -5,10 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from qcplane.beltrami import _neumann_stack
 from qcplane.transforms import _lanczos_top
 
 from conftest import cinf_bump, half_widths
@@ -72,6 +73,20 @@ def phi_span(draw, n, span, relation):
     return draw(span_within(b, n, n))
 
 
+@st.composite
+def stack_case(draw):
+    """(n, mu's box, probe boxes with None for a zero probe, seed): a compact
+    or full-box mu at n = 32 or 64 and two to six probes."""
+    n = draw(st.sampled_from([32, 64]))
+    if draw(st.booleans()):
+        mu_box = ((0, n), (0, n))
+    else:
+        mu_box = (draw(span_within(0, n, n // 2)), draw(span_within(0, n, n // 2)))
+    box = st.tuples(span_within(0, n, n), span_within(0, n, n))
+    phi_boxes = draw(st.lists(st.one_of(box, st.none()), min_size=2, max_size=6))
+    return n, mu_box, phi_boxes, draw(st.integers(0, 2**32 - 1))
+
+
 class TestNeumannSolve:
     grid32 = q.Grid(4.0, 32)
 
@@ -95,6 +110,76 @@ class TestNeumannSolve:
         got = report.solution.values
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.allclose(report.residual_history, history, rtol=1e-9, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=stack_case(),
+        half_width=half_widths,
+        tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
+        max_iter=st.integers(1, 40),
+    )
+    @example(
+        case=(32, ((10, 18), (12, 20)), [((2, 30), (4, 8)), ((0, 32), (0, 32)), None], 7),
+        half_width=1e-150, tol=1e-10, max_iter=40,
+    )
+    @example(
+        case=(64, ((20, 30), (40, 52)), [((2, 30), (4, 8)), ((10, 60), (1, 64)), None], 8),
+        half_width=1e150, tol=1e-10, max_iter=12,
+    )
+    @example(
+        case=(32, ((0, 32), (0, 32)), [((2, 30), (4, 8)), ((0, 32), (0, 32))], 9),
+        half_width=1e150, tol=1e-6, max_iter=40,
+    )
+    def test_stacked_solves_match_single_solves(self, case, half_width, tol, max_iter):
+        # each member of a stacked iteration stops, records its residuals
+        # and falls back on the rescaled sum exactly as when solved alone;
+        # right-hand sides of order 1/L make that fallback run at L = 1e150
+        n, mu_box, phi_boxes, seed = case
+        grid = q.Grid(half_width, n)
+        mu = q.BeltramiCoefficient(boxed_field(grid, *mu_box, seed, 0.6))
+        zero = q.ComplexField(grid, np.zeros((n, n), dtype=complex))
+        phis = [
+            zero if b is None else boxed_field(grid, *b, seed + k, 1.0 / half_width)
+            for k, b in enumerate(phi_boxes)
+        ]
+        stacked = _neumann_stack(mu, phis, [q.norm(phi) for phi in phis], tol, max_iter)
+        assert len(stacked) == len(phis)
+        for phi, got in zip(phis, stacked):
+            alone = q.neumann_solve(mu, phi, tol=tol, max_iter=max_iter)
+            assert np.array_equal(got.solution.values, alone.solution.values)
+            assert got.residual_history == alone.residual_history
+            assert got.converged == alone.converged
+
+    @pytest.mark.parametrize("full_box", [False, True])
+    def test_probe_family_iterates_as_one_stack(self, monkeypatch, full_box):
+        # each step is one apply to the stack of the members still
+        # iterating; one window of a full-box mu already fills the
+        # workspace bound, so there every apply holds one member
+        if full_box:
+            mu = q.BeltramiCoefficient(boxed_field(self.grid32, (0, 32), (0, 32), 5, 0.6))
+        else:
+            ball = q.indicator_ball(self.grid32, 1.5j, 1.0, mollify_width=0.25)
+            mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values))
+        probes = q.default_probes(self.grid32)
+        iterations = [q.neumann_solve(mu, phi).iterations for phi in probes]
+        plan = q.SpectralPlan(self.grid32)
+        members = []
+
+        def apply(values, table, rows=None, cols=None, at=None):
+            assert values.ndim == 3
+            members.append(values.shape[0])
+            return q.SpectralPlan.apply(plan, values, table, rows, cols, at)
+
+        plan.apply = apply
+        monkeypatch.setattr("qcplane.beltrami.plan_for", lambda grid: plan)
+        record = q.inverse_weighted_bound(mu, probes)
+        assert record.iteration_count == sum(iterations) == sum(members)
+        if full_box:
+            assert members == [1] * sum(iterations)
+        else:
+            unconverged = [sum(k < count for count in iterations) for k in range(1, max(iterations))]
+            assert len(set(iterations)) > 1
+            assert members == [1] * len(probes) + unconverged
 
     def test_one_cell_mu_box(self):
         mu = q.BeltramiCoefficient(boxed_field(self.grid32, (9, 10), (20, 21), 3, 0.6))
@@ -128,8 +213,8 @@ class TestNeumannSolve:
         report = q.neumann_solve(mu, phi)
         box = (slice(10, 16), slice(12, 20))
         assert len(calls) == report.iterations > 1
-        assert calls[0] == ((28, 4), *box, (slice(2, 30), slice(4, 8)))
-        assert all(call == ((6, 8), *box, box) for call in calls[1:])
+        assert calls[0] == ((1, 28, 4), *box, (slice(2, 30), slice(4, 8)))
+        assert all(call == ((1, 6, 8), *box, box) for call in calls[1:])
 
     def test_contraction_and_convergence(self, mu_half):
         report = q.neumann_solve(mu_half, mu_half.field, tol=1e-8)

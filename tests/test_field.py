@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
+from qcplane.field import _smooth_step
 from conftest import half_widths
 
 
@@ -118,6 +119,29 @@ class TestIndicatorBall:
     def test_sharp_indicator_is_binary(self, grid256):
         ball = q.indicator_ball(grid256, 0.0, 1.5)
         assert set(np.unique(ball.values.real)) == {0.0, 1.0}
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64, 128, 256]),
+        half_width=half_widths,
+        fraction=st.floats(1e-3, 0.999),
+        offset=st.tuples(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999)),
+        ramp=st.sampled_from([0.0, 0.25, 1.0]),
+    )
+    def test_box_build_matches_full_grid(self, n, half_width, fraction, offset, ramp):
+        # the ball is evaluated on its bounding box only; every other cell
+        # is exactly the 0 a full-grid evaluation gives
+        grid = q.Grid(half_width, n)
+        radius = fraction * half_width
+        center = complex(offset[0] * (half_width - radius), offset[1] * (half_width - radius))
+        dist = np.abs(grid.points() - center)
+        if ramp == 0.0:
+            full = (dist <= radius).astype(complex)
+        else:
+            full = _smooth_step((radius - dist) / (ramp * radius)).astype(complex)
+        ball = q.indicator_ball(grid, center, radius, mollify_width=ramp * radius)
+        assert np.array_equal(ball.values, full)
 
 
 class TestBandlimitedNoise:

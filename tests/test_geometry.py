@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
-from qcplane.geometry import _chord_arc_witness_ratio, _dbar_and_mu
+from qcplane.geometry import _CHORD_ARC_WINDOW, _chord_arc_witness_ratio, _dbar_and_mu
 
 # Frozen dense-discretization oracles for the sin curve t + 0.3i sin t on
 # [-2pi, 2pi]: the same sweeps evaluated on a 10x finer trace (10240 points,
@@ -44,6 +44,52 @@ def wirtinger_and_stencil(rho, grid):
 def sin_trace(m, scale=1.0):
     t = np.linspace(-2 * np.pi, 2 * np.pi, m)
     return q.CurveTrace(t, scale * (t + 0.3j * np.sin(t)))
+
+
+def chord_arc_loop(trace):
+    """(constant, witness) of the row-by-row sweep that chord_arc_constant
+    runs in blocks: the first maximum in row-major order wins."""
+    x = trace.params
+    half = _CHORD_ARC_WINDOW * 0.5 * (x[-1] - x[0])
+    idx = np.nonzero(np.abs(x - 0.5 * (x[0] + x[-1])) <= half)[0]
+    pts, cum = trace.points[idx], trace.cum_length[idx]
+    best, best_pair = 0.0, (int(idx[0]), int(idx[1]))
+    for a in range(idx.size - 1):
+        ratios = (cum[a + 1 :] - cum[a]) / np.abs(pts[a + 1 :] - pts[a])
+        b = int(np.argmax(ratios))
+        if ratios[b] > best:
+            best, best_pair = float(ratios[b]), (int(idx[a]), int(idx[a + 1 + b]))
+    return best, best_pair
+
+
+def regularity_loop(trace):
+    """The center-by-center, radius-by-radius sweep of regularity_check."""
+    seg = trace.segment_lengths()
+    mid = 0.5 * (trace.points[1:] + trace.points[:-1])
+    r0 = 8.0 * float(np.median(seg))
+    r1 = 0.5 * float(np.abs(trace.points[-1] - trace.points[0]))
+    radii = r0 * 2.0 ** np.arange(int(np.floor(np.log2(r1 / r0))) + 1)
+    best = 0.0
+    for z0 in trace.strided(256).points:
+        dist = np.abs(mid - z0)
+        for r in radii:
+            best = max(best, float(seg[dist <= r].sum()) / r)
+    return best
+
+
+@st.composite
+def random_trace(draw, sizes=(40, 1200)):
+    """A trace over increasing parameters: a random walk in y, or, for
+    equal ratios at many pairs, integer steps of length 5 ((3, +-4),
+    (4, +-3), (5, 0)), whose arcs and chords repeat exactly."""
+    m = draw(st.integers(*sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        steps = np.array([3 + 4j, 3 - 4j, 4 + 3j, 4 - 3j, 5 + 0j])[rng.integers(0, 5, m - 1)]
+        points = np.concatenate([[0j], np.cumsum(steps)])
+        return q.CurveTrace(points.real, points)
+    params = np.cumsum(rng.uniform(0.5, 1.0, m))
+    return q.CurveTrace(params, params + 1j * np.cumsum(rng.standard_normal(m)))
 
 
 def dense_cauchy_norm(gamma):
@@ -119,6 +165,26 @@ class TestChordArc:
         assert report.constant >= 1.0 - 1e-12
         assert _chord_arc_witness_ratio(trace, *report.witness) == report.constant
 
+    def test_sweep_matches_loop_on_sin_curve(self):
+        report = q.chord_arc_constant(sin_trace(1024))
+        assert (report.constant, report.witness) == chord_arc_loop(sin_trace(1024))
+
+    def test_ties_keep_the_first_pair(self):
+        # a zigzag of 3-4-5 steps: every even gap has arc/chord exactly 5/3
+        points = 3.0 * np.arange(600) + 4j * (np.arange(600) % 2)
+        trace = q.CurveTrace(points.real, points)
+        report = q.chord_arc_constant(trace)
+        assert (report.constant, report.witness) == chord_arc_loop(trace)
+        x = trace.params
+        first = int(np.nonzero(np.abs(x - 0.5 * (x[0] + x[-1])) <= report.window_half_width)[0][0])
+        assert report.witness == (first, first + 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=random_trace())
+    def test_sweep_matches_loop(self, trace):
+        report = q.chord_arc_constant(trace)
+        assert (report.constant, report.witness) == chord_arc_loop(trace)
+
     def test_window_restricts_pairs(self):
         report = q.chord_arc_constant(sin_trace(1024))
         half = report.window_half_width
@@ -192,6 +258,17 @@ class TestRegularity:
         a = q.regularity_check(sin_trace(1024))
         b = q.regularity_check(sin_trace(1024, scale=3.0))
         assert abs(b / a - 1.0) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=random_trace(sizes=(64, 1200)))
+    def test_sweep_matches_loop(self, trace):
+        # the masked row sums add the same segments in another pairwise
+        # order, so they may differ from the loop's by rounding alone
+        assert q.regularity_check(trace) == pytest.approx(regularity_loop(trace), rel=1e-13)
+
+    def test_sweep_matches_loop_on_sin_curve(self):
+        expected = regularity_loop(sin_trace(1024))
+        assert q.regularity_check(sin_trace(1024)) == pytest.approx(expected, rel=1e-13)
 
     def test_short_trace_rejected(self):
         t = np.linspace(0.0, 1.0, 8)
