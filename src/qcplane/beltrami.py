@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BeltramiCoefficient, ComplexField, Grid, bandlimited_noise, indicator_ball, norm
+from .field import BeltramiCoefficient, ComplexField, Grid, _root_sum_sq, bandlimited_noise, indicator_ball, norm
 from .geometry import MapEvaluator
 from .transforms import (
     LineFunction,
@@ -180,61 +180,41 @@ def _neumann_stack(
     box = _nonzero_box(mu.field.values)
     mu_box = mu.field.values[box]
     limit = _stack_limit(grid.n, box)
-    # below this sum of squares, subnormal squares can move it
-    small_sum = mu_box.size * np.finfo(float).tiny / np.finfo(float).eps
     reports: list[SolveReport] = []
     for first in range(0, len(phis), limit):
-        chunk = range(first, min(first + limit, len(phis)))
+        chunk = phis[first : first + limit]
         source = np.empty((len(chunk), *mu_box.shape), dtype=complex)
-        for j, i in enumerate(chunk):
-            phi_box = _nonzero_box(phis[i].values)
-            block = phis[i].values[phi_box][None]
+        for j, phi in enumerate(chunk):
+            phi_box = _nonzero_box(phi.values)
+            block = phi.values[phi_box][None]
             np.multiply(mu_box, plan.apply(block, plan.multiplier_s, *box, at=phi_box), out=source[j : j + 1])
-        stop = tol * np.array([phi_norms[i] for i in chunk])
+        stop = tol * np.array(phi_norms[first : first + limit])
         members = np.arange(len(chunk))
         histories: list[list[float]] = [[] for _ in chunk]
-        finals: dict[int, np.ndarray] = {}  # each member's last c
-        converged = [False] * len(chunk)
+        final = np.empty_like(source)  # each member's last c
+        converged = np.zeros(len(chunk), dtype=bool)
         c = np.zeros_like(source)
         step = source
         for k in range(max_iter):
             if k:
                 step = source + mu_box * plan.apply(c, plan.multiplier_s, *box, at=box)
-            gap = np.abs(step - c)
-            sum_sq = (gap**2).sum(axis=(1, 2))
-            # h sqrt(sum), not sqrt(h^2 sum), which is subnormal at an extreme L
-            residual = grid.spacing * np.sqrt(sum_sq)
-            for j in np.flatnonzero(sum_sq < small_sum):
-                # gaps of order 1/L at an extreme L: square them over the
-                # largest, as field.norm's fallback does
-                scale = gap[j].max()
-                if scale > 0.0:
-                    residual[j] = grid.spacing * np.sqrt(((gap[j] / scale) ** 2).sum()) * scale
+            residual = grid.spacing * _root_sum_sq(step - c)
             for j, m in enumerate(members):
                 histories[m].append(float(residual[j]))
             c = step
             done = residual <= stop
             if done.any():
-                for j in np.flatnonzero(done):
-                    finals[int(members[j])] = c[j]
-                    converged[members[j]] = True
+                final[members[done]] = c[done]
+                converged[members[done]] = True
                 keep = ~done
                 members, source, c, stop = members[keep], source[keep], c[keep], stop[keep]
                 if not members.size:
                     break
-        for j, m in enumerate(members):
-            finals[int(m)] = c[j]
-        for m, i in enumerate(chunk):
-            h = phis[i].values.copy()
-            h[box] += finals[m]
-            reports.append(
-                SolveReport(
-                    solution=ComplexField(grid, h),
-                    residual_history=histories[m],
-                    converged=converged[m],
-                    tolerance=tol,
-                )
-            )
+        final[members] = c
+        for m, phi in enumerate(chunk):
+            h = phi.values.copy()
+            h[box] += final[m]
+            reports.append(SolveReport(ComplexField(grid, h), histories[m], bool(converged[m]), tol))
     return reports
 
 
@@ -332,25 +312,22 @@ def weighted_operator_norm(
     )
 
 
-def default_probes(grid: Grid, noise_count: int = 8, ball_count: int = 4) -> list[ComplexField]:
+def default_probes(grid: Grid) -> list[ComplexField]:
     """Compactly supported probe family for invertibility measurements.
 
-    Band-limited noise windowed to the disc of radius L/2 plus mollified
-    balls at increasing heights: the ball heights sample the weight
-    1/|y| from near the axis to the far field.  Noise probe k is seeded
-    with k.
+    Eight band-limited noise fields windowed to the disc of radius L/2
+    plus four mollified balls at increasing heights: the ball heights
+    sample the weight 1/|y| from near the axis to the far field.  Noise
+    probe k is seeded with k.
     """
     L = grid.half_width
     window = indicator_ball(grid, 0.0, L / 2.0, mollify_width=L / 8.0)
     probes: list[ComplexField] = []
-    for k in range(noise_count):
+    for k in range(8):
         noise = bandlimited_noise(grid, seed=k, cutoff=0.25)
         probes.append(noise.with_values(noise.values * window.values))
-    heights = np.linspace(0.1, 0.7, ball_count) * L
-    for k in range(ball_count):
-        probes.append(
-            indicator_ball(grid, 1j * heights[k], L / 16.0, mollify_width=L / 64.0)
-        )
+    for height in np.linspace(0.1, 0.7, 4) * L:
+        probes.append(indicator_ball(grid, 1j * height, L / 16.0, mollify_width=L / 64.0))
     return probes
 
 
@@ -370,6 +347,12 @@ def inverse_weighted_bound(
     the stacked family, each probe stopping on its own residual.
     ``iteration_count`` sums the solves' steps; ``residual`` is the largest
     final residual over its ||Phi||_2, which each stop compares with ``tol``.
+
+    Raises
+    ------
+    ValueError
+        On an empty family, or on a zero probe, named by its index: the
+        default family on a grid too coarse to hold one of its balls.
     """
     if probes is None:
         probes = default_probes(mu.grid)
@@ -377,7 +360,7 @@ def inverse_weighted_bound(
         raise ValueError("probe family must be nonempty")
     w_phis = [norm(phi, "inv_abs_y") for phi in probes]
     if 0.0 in w_phis:
-        raise ValueError("probes must be nonzero")
+        raise ValueError(f"probe {w_phis.index(0.0)} is zero")
     phi_norms = [norm(phi) for phi in probes]
     reports = _neumann_stack(mu, probes, phi_norms, tol, max_iter)
     ratios = [(norm(r.solution, "inv_abs_y") / w) ** 2 for r, w in zip(reports, w_phis)]

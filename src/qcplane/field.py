@@ -8,6 +8,7 @@ rule; convergence is tested, not assumed.
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import cached_property, lru_cache
 
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<dqd")  # half_width, n, stagger, little-endian
+_TINY_OVER_EPS = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -184,16 +186,50 @@ def integrate(f: ComplexField) -> complex:
     return complex(f.grid.cell_area() * f.values.sum())
 
 
-def _weight_values(grid: Grid, weight: str) -> np.ndarray | float:
+def _weight_values(grid: Grid, weight: str) -> np.ndarray | None:
     if weight == "unweighted":
-        return 1.0
+        return None
     if weight == "inv_abs_y":
         return 1.0 / np.abs(grid.y)[None, :]
     raise ValueError(f"unknown weight {weight!r}")
 
 
+def _root_sum_sq(values: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(sum |values|^2 weight) over the last two axes of a 2-D array,
+    or of each member of a 3-D stack; a ``weight`` of None is 1.
+
+    One pass keeps a sum that is finite and at least count * tiny / eps *
+    max(1, max weight), so every term that can move it is normal.  Any
+    other member (values of order 1/L at an extreme L) is summed again
+    from its magnitudes over the largest one.
+    """
+
+    def weighted_squares(mag: np.ndarray) -> np.ndarray:
+        np.square(mag, out=mag)
+        if weight is not None:
+            mag *= weight
+        return mag
+
+    stack = values[None] if values.ndim == 2 else values
+    heaviest = 1.0 if weight is None else max(1.0, float(weight.max()))
+    floor = stack.shape[1] * stack.shape[2] * _TINY_OVER_EPS * heaviest
+    with np.errstate(over="ignore"):
+        total = weighted_squares(np.abs(stack)).sum(axis=(1, 2))
+    root = np.sqrt(total)
+    for j, sum_sq in enumerate(total.tolist()):
+        if sum_sq < floor or not math.isfinite(sum_sq):
+            mag = np.abs(stack[j])
+            largest = mag.max()
+            if largest > 0.0:  # else every value is 0, and so is the root
+                # a real quotient: complex division by a subnormal overflows
+                mag /= largest
+                root[j] = np.sqrt(weighted_squares(mag).sum()) * largest
+    return root[0] if values.ndim == 2 else root
+
+
 def norm(f: ComplexField, weight: str = "unweighted") -> float:
-    """Weighted L^2 norm of a field.
+    """Weighted L^2 norm of a field, h * sqrt(sum |f|^2 w), safe from
+    overflow and underflow at any half-width.
 
     Parameters
     ----------
@@ -206,25 +242,7 @@ def norm(f: ComplexField, weight: str = "unweighted") -> float:
     -------
     float
     """
-    w = _weight_values(f.grid, weight)
-    area = f.grid.cell_area()
-    mag = np.abs(f.values)
-    scale = mag.max()
-    if scale == 0.0:
-        return 0.0
-    tiny = np.finfo(float).tiny
-    with np.errstate(over="ignore"):
-        total = area * (np.square(mag, out=mag) * w).sum()
-        # the largest term is at least scale^2 min(w); a term below this
-        # share of it cannot move the sum
-        floor = scale**2 * np.min(w) * np.finfo(float).eps / f.values.size
-    # kept when the sum is a finite normal number and every term that can
-    # move it, and its |f|^2, is a normal number too
-    if np.isfinite(total) and total >= tiny and floor >= tiny * max(1.0, np.max(w)):
-        return float(np.sqrt(total))
-    # |f|^2 w overflowed or left the normal range (values of order 1/L at
-    # an extreme L, say): square the values divided by the largest |value|
-    return float(np.sqrt(area * (np.abs(f.values / scale) ** 2 * w).sum()) * scale)
+    return float(f.grid.spacing * _root_sum_sq(f.values, _weight_values(f.grid, weight)))
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -307,7 +325,7 @@ def bandlimited_noise(grid: Grid, seed: int, cutoff: float = 0.25) -> ComplexFie
     coeff[_outside_band(grid, cutoff)] = 0.0
     coeff[0, 0] = 0.0
     values = np.fft.ifft2(coeff)
-    scale = np.sqrt(grid.cell_area() * (np.abs(values) ** 2).sum())
+    scale = grid.spacing * _root_sum_sq(values)
     if scale == 0.0:
         raise ValueError("cutoff too small: no modes survive")
     return ComplexField(grid, values / scale)
@@ -336,25 +354,25 @@ def read_field(path) -> ComplexField:
     Raises
     ------
     ValueError
-        On a corrupt or truncated file: a short header, a half-width
-        that is not finite and positive, a payload that does not hold
-        n*n complex samples, or a header the grid rejects.
+        On a corrupt or truncated file: a short header, a payload that
+        does not hold n*n complex samples, a header the grid rejects, or
+        a stagger that does not match the grid.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError("truncated field file: short header")
         half_width, n, stagger = _HEADER.unpack(header)
-        if not (np.isfinite(half_width) and half_width > 0):
-            raise ValueError(
-                f"corrupt field file: half_width {half_width} must be finite and positive"
-            )
         data = fh.read()
+    # checked before 16 n^2 is trusted, and before Grid sees n
     if n < 1 or len(data) != 16 * n * n:
         raise ValueError(
             f"corrupt field file: {len(data)} payload bytes do not hold {n}x{n} complex samples"
         )
-    grid = Grid(half_width, int(n))
+    try:
+        grid = Grid(half_width, int(n))
+    except ValueError as exc:
+        raise ValueError(f"corrupt field file: {exc}") from exc
     if abs(stagger - grid.stagger) > 1e-12 * grid.spacing:
         raise ValueError(
             f"corrupt field file: stagger {stagger} inconsistent with grid spacing {grid.spacing}"

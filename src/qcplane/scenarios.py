@@ -27,7 +27,6 @@ from .analysis import carleson_density, carleson_norm, rectifiability_energy
 from .beltrami import (
     BeltramiCoefficient,
     NonConvergenceError,
-    default_probes,
     inverse_weighted_bound,
     solve_beltrami,
     weighted_operator_norm,
@@ -252,21 +251,12 @@ class _Run:
         return weighted_operator_norm(self.mu, seed=self.config.seed)
 
     @cached_property
-    def probes(self):
-        """The default probe family; ConfigError if the grid is too coarse to hold one."""
-        probes = default_probes(self.grid)
-        for k, probe in enumerate(probes):
-            if not probe.values.any():
-                raise ConfigError(
-                    f"grid n={self.grid.n} is too coarse for the probe family: probe {k} covers no sample"
-                )
-        return probes
-
-    @cached_property
     def invertibility(self):
-        stats = inverse_weighted_bound(self.mu, probes=self.probes, tol=self.config.tol)
-        del self.probes  # 12 n x n fields, kept no longer than their solves
-        return stats
+        """The probe stage; ConfigError if the grid is too coarse to hold the probe family."""
+        try:
+            return inverse_weighted_bound(self.mu, tol=self.config.tol)
+        except ValueError as exc:
+            raise ConfigError(f"grid n={self.grid.n} is too coarse for the probe family: {exc}") from exc
 
     @cached_property
     def rho(self) -> MapEvaluator:
@@ -298,7 +288,6 @@ def run_scenario(config: ScenarioConfig) -> dict:
     ``converged: false`` if the solver stalls.
     """
     run = _Run(config)
-    run.probes  # a grid too coarse for the probes is a ConfigError before any output
     out = _output_dir(config.out_dir or default_output_root())
     mu, grid = run.mu, run.grid
     report: dict = {
@@ -306,11 +295,11 @@ def run_scenario(config: ScenarioConfig) -> dict:
         "grid": {"half_width": grid.half_width, "n": grid.n, "spacing": grid.spacing},
         "mu": {"sup_bound": mu.sup_bound, "support_radius": mu.support_radius, "norm_l2": norm(mu.field)},
         "artifacts": {"mu_field": "mu.bin", "trace_csv": "trace.csv"},
+        # the probe stage first: a grid too coarse for its family is a
+        # ConfigError before any file is written
+        "invertibility": asdict(run.invertibility),
     }
     write_field(mu.field, out / "mu.bin")
-    # the probe solves first, so the probe family checked above is freed
-    # before any other stage allocates
-    report["invertibility"] = asdict(run.invertibility)
     report["carleson"] = run.carleson.to_json_dict()
     report["operator"] = asdict(run.operator)
 
@@ -411,7 +400,6 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     stalled Beltrami solve raises NonConvergenceError instead.
     """
     run = _Run(config)
-    run.probes  # a grid too coarse for the probes is a ConfigError before any output
     if out_path is not None:
         out_path = Path(out_path)
         _output_dir(out_path.parent)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qcplane as q
 from qcplane.beltrami import _neumann_stack
+from qcplane.field import _root_sum_sq
 from qcplane.transforms import _lanczos_top
 
 from conftest import cinf_bump, half_widths
@@ -215,6 +216,31 @@ class TestNeumannSolve:
         assert len(calls) == report.iterations > 1
         assert calls[0] == ((1, 28, 4), *box, (slice(2, 30), slice(4, 8)))
         assert all(call == ((1, 6, 8), *box, box) for call in calls[1:])
+
+    @pytest.mark.parametrize("half_width", [4.0, 1e-150, 1e150])
+    def test_residuals_are_norms_of_the_steps(self, monkeypatch, half_width):
+        # a full-box mu, so each step c_k - c_(k-1) fills the grid; each
+        # residual is field.norm of that step field, bit for bit, also
+        # where |step|^2 under- or overflows
+        grid = q.Grid(half_width, 32)
+        mu = q.BeltramiCoefficient(boxed_field(grid, (0, 32), (0, 32), 5, 0.6))
+        phi = q.bandlimited_noise(grid, seed=3)
+        steps = []
+
+        def record(values, weight=None):
+            steps.append(values.copy())
+            return _root_sum_sq(values, weight)
+
+        monkeypatch.setattr("qcplane.beltrami._root_sum_sq", record)
+        report = q.neumann_solve(mu, phi)
+        assert report.converged and len(steps) == report.iterations > 1
+        for residual, step in zip(report.residual_history, steps):
+            assert step.shape == (1, 32, 32)
+            assert residual == q.norm(q.ComplexField(grid, step[0]))
+        # the recorded arrays are the steps: they sum to h - Phi
+        total = np.sum(steps, axis=0)[0]
+        gap = report.solution.values - phi.values
+        assert np.linalg.norm(total - gap) <= 1e-12 * np.linalg.norm(gap)
 
     def test_contraction_and_convergence(self, mu_half):
         report = q.neumann_solve(mu_half, mu_half.field, tol=1e-8)
@@ -443,11 +469,23 @@ class TestInverseWeightedBound:
         assert 1.0 <= c1 <= 1.05 / (1.0 - s) ** 2
 
     def test_probe_doubling_stable(self, grid256, mu_half):
+        # twice the default family, by its rules: 16 windowed noise fields
+        # and 8 balls at heights 0.1 L to 0.7 L
+        L = grid256.half_width
+        window = q.indicator_ball(grid256, 0.0, L / 2.0, mollify_width=L / 8.0)
+        noise = [q.bandlimited_noise(grid256, seed=k, cutoff=0.25) for k in range(16)]
+        probes = [f.with_values(f.values * window.values) for f in noise]
+        for height in np.linspace(0.1, 0.7, 8) * L:
+            probes.append(q.indicator_ball(grid256, 1j * height, L / 16.0, mollify_width=L / 64.0))
         base = q.inverse_weighted_bound(mu_half).probe_c1_estimate
-        more = q.inverse_weighted_bound(
-            mu_half, probes=q.default_probes(grid256, noise_count=16, ball_count=8)
-        ).probe_c1_estimate
+        more = q.inverse_weighted_bound(mu_half, probes=probes).probe_c1_estimate
         assert abs(more / base - 1.0) <= 0.10
+
+    def test_zero_probe_is_named(self, mu_half):
+        probes = q.default_probes(mu_half.grid)
+        probes[2] = probes[2].with_values(np.zeros_like(probes[2].values))
+        with pytest.raises(ValueError, match="probe 2 is zero"):
+            q.inverse_weighted_bound(mu_half, probes)
 
 
 class TestSolveInhomogeneous:

@@ -32,4 +32,4 @@ def public_parameters(obj) -> int:
 def test_public_surface_does_not_grow():
     # a ratchet: growing the surface takes a deliberate edit of these bounds
     assert len(qcplane.__all__) <= 56
-    assert sum(public_parameters(getattr(qcplane, name)) for name in qcplane.__all__) <= 137
+    assert sum(public_parameters(getattr(qcplane, name)) for name in qcplane.__all__) <= 135

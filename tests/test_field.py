@@ -1,12 +1,15 @@
 """Grid geometry, field containers, dilatation validation, and file IO."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qcplane as q
-from qcplane.field import _smooth_step
+from qcplane.field import _root_sum_sq, _smooth_step, _weight_values
 from conftest import half_widths
 
 
@@ -78,6 +81,18 @@ class TestComplexField:
         with pytest.raises(ValueError):
             q.norm(f, "no-such-weight")
 
+    def test_norm_of_subnormal_values(self):
+        # the largest |value| is subnormal: the sum is taken again from the
+        # magnitudes over it, a real quotient (the complex one overflows)
+        grid = q.Grid(1.0, 16)
+        values = np.zeros((16, 16), complex)
+        values[3, 4] = 3e-310 + 4e-310j
+        f = q.ComplexField(grid, values)
+        assert q.norm(f) == grid.spacing * abs(values[3, 4])
+        # subnormal results carry about 13 digits
+        weighted = grid.spacing * abs(values[3, 4]) / np.sqrt(abs(grid.y[4]))
+        assert q.norm(f, "inv_abs_y") == pytest.approx(weighted, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("extreme", [1e-150, 1e150])
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -94,6 +109,44 @@ class TestComplexField:
         assert q.norm(scaled) == pytest.approx(q.norm(unit), rel=1e-12, abs=0.0)
         expected = q.norm(unit, "inv_abs_y") / np.sqrt(half_width)
         assert q.norm(scaled, "inv_abs_y") == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def stacks(draw):
+    """A (p, r, c) stack of complex values with magnitudes near 1e-310
+    (subnormal), 1e-160, 1 and 1e160, sparse down to all-zero and
+    zero-size members, and no weight or the inv_abs_y row of a grid with
+    c columns."""
+    p, r, c = draw(st.integers(0, 3)), draw(st.integers(0, 5)), draw(st.sampled_from([16, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.sampled_from([-310, -160, 0, 160]), min_size=1, max_size=4, unique=True))
+    shape = (p, r, c)
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.choice(exponents, shape)
+    values[rng.random(shape) < draw(st.floats(0.0, 1.0))] = 0.0
+    values[rng.random(p) < 0.3] = 0.0
+    weight = draw(st.one_of(st.none(), half_widths.map(lambda L: _weight_values(q.Grid(L, c), "inv_abs_y"))))
+    return values, weight
+
+
+class TestRootSumSq:
+    @settings(max_examples=100, deadline=None)
+    @given(stack=stacks())
+    def test_members_match_reference(self, stack):
+        # each member's root is the one the 2-D call gives, bit for bit, and
+        # within 1e-14 of a sum of squares taken over the largest modulus
+        values, weight = stack
+        roots = _root_sum_sq(values, weight)
+        assert roots.shape == (values.shape[0],)
+        w = 1.0 if weight is None else weight
+        for root, member in zip(roots, values):
+            assert root == _root_sum_sq(member, weight)
+            mag = np.abs(member)
+            largest = mag.max(initial=0.0)
+            if largest == 0.0:
+                assert root == 0.0
+                continue
+            terms = np.square(mag / largest) * w
+            assert root == pytest.approx(math.sqrt(math.fsum(terms.ravel())) * largest, rel=1e-14, abs=0.0)
 
 
 class TestIndicatorBall:
@@ -233,6 +286,19 @@ class TestFieldIO:
         pts = grid256.points()
         covered = np.abs(pts[np.abs(g.values) > 0]) <= g.support_radius
         assert covered.all()
+
+    @pytest.mark.parametrize(
+        "half_width, n, message",
+        [(8.0, 48, "n must be a power of two"), (np.inf, 16, "half_width must be finite"), (-1.0, 16, "half_width")],
+        ids=["n48", "infinite", "negative"],
+    )
+    def test_header_the_grid_rejects(self, tmp_path, half_width, n, message):
+        # the payload holds the n x n samples the header promises; the grid
+        # rejects the header, and the file is reported corrupt
+        path = tmp_path / "field.bin"
+        path.write_bytes(struct.pack("<dqd", half_width, n, half_width / n) + bytes(16 * n * n))
+        with pytest.raises(ValueError, match=f"corrupt field file: {message}"):
+            q.read_field(path)
 
     def test_truncated_file_rejected(self, tmp_path, grid256):
         f = q.bandlimited_noise(grid256, seed=9)
