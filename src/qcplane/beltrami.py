@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .field import BeltramiCoefficient, ComplexField, Grid, _root_sum_sq, bandlimited_noise, indicator_ball, norm
 from .geometry import MapEvaluator
@@ -21,7 +22,6 @@ from .transforms import (
     _lanczos_top,
     _LRUCache,
     _nonzero_box,
-    _stack_limit,
     cauchy_at_points,
     cauchy_line_derivative,
     cauchy_plane,
@@ -55,6 +55,43 @@ def plan_for(grid: Grid) -> SpectralPlan:
     caching is safe.  The periodic model is ``SpectralPlan(grid, 1)``.
     """
     return _plans.get(grid, lambda: SpectralPlan(grid))
+
+
+class _MuS:
+    """mu S computed on mu's nonzero box B alone; the Neumann stack and
+    the weighted norm each build one for their mu.
+
+    mu S vanishes off B, so its products are taken straight onto B from
+    the grid's cached padding-2 plan.  ``stack_limit`` is the most blocks
+    at B that one stacked apply from B to itself may hold: as many of its
+    windows as fill one full-box window of the n x n grid, and at least
+    one, so a full-box mu gives stacks of one and the plan's workspace
+    stays within one full-box window.  The weighted norm's sqrt|y| (a
+    1 x n row) and |mu|^2/|y| on B are precomputed here.
+    """
+
+    def __init__(self, mu: BeltramiCoefficient):
+        self.plan = plan_for(mu.grid)
+        self.box = _nonzero_box(mu.field.values)
+        self.mu_box = mu.field.values[self.box]
+        extent = [scipy.fft.next_fast_len(max(1, 2 * (s.stop - s.start) - 1)) for s in self.box]
+        self.stack_limit = max(1, scipy.fft.next_fast_len(2 * mu.grid.n - 1) ** 2 // (extent[0] * extent[1]))
+        abs_y = np.abs(mu.grid.y)
+        self.sqrt_y = np.sqrt(abs_y)[None, :]
+        self.weight_box = (self.mu_box.real**2 + self.mu_box.imag**2) / abs_y[None, self.box[1]]
+
+    def apply(self, blocks: np.ndarray, at: tuple[slice, slice]) -> np.ndarray:
+        """mu S, on B, of a block or a (p, rows, cols) stack of blocks at the box ``at``."""
+        return self.mu_box * self.plan.apply(blocks, self.plan.multiplier_s, *self.box, at=at)
+
+    def gram(self, x: np.ndarray) -> np.ndarray:
+        """sqrt|y| S*(|mu|^2/|y| S(sqrt|y| x)) for an n x n ``x``: S from the
+        grid to B, then S* from B back to the grid."""
+        plan = self.plan
+        s_box = plan.apply(self.sqrt_y * x, plan.multiplier_s, *self.box, at=(slice(None), slice(None)))
+        out = plan.apply(self.weight_box * s_box, plan.multiplier_s_star, at=self.box)
+        out *= self.sqrt_y
+        return out
 
 
 def _field_summary(f: ComplexField) -> dict:
@@ -164,9 +201,8 @@ def _neumann_stack(
     h_k - h_{k-1} = c_k - c_{k-1} is zero off B.  Every c lives on B, so
     the right-hand sides iterate together: each step is one apply to the
     stack of the unconverged c's, and a member leaves the stack at its
-    own stop.  A stack holds at most ``_stack_limit`` members, so its
-    workspace stays within one full-box window, and larger families run
-    in chunks, in order; a full-box mu gives stacks of one.  The sources
+    own stop.  A stack holds at most the operator's ``_MuS.stack_limit``
+    members, and larger families run in chunks, in order.  The sources
     mu S Phi are applied one by one, from each Phi's own box.
     """
     if tol <= 0:
@@ -175,20 +211,13 @@ def _neumann_stack(
         raise ValueError("max_iter must be at least 1")
     if any(phi.grid != mu.grid for phi in phis):
         raise ValueError("phi grid does not match mu grid")
-    grid = mu.grid
-    plan = plan_for(grid)
-    box = _nonzero_box(mu.field.values)
-    mu_box = mu.field.values[box]
-    limit = _stack_limit(grid.n, box)
+    op = _MuS(mu)
     reports: list[SolveReport] = []
-    for first in range(0, len(phis), limit):
-        chunk = phis[first : first + limit]
-        source = np.empty((len(chunk), *mu_box.shape), dtype=complex)
-        for j, phi in enumerate(chunk):
-            phi_box = _nonzero_box(phi.values)
-            block = phi.values[phi_box][None]
-            np.multiply(mu_box, plan.apply(block, plan.multiplier_s, *box, at=phi_box), out=source[j : j + 1])
-        stop = tol * np.array(phi_norms[first : first + limit])
+    for first in range(0, len(phis), op.stack_limit):
+        chunk = phis[first : first + op.stack_limit]
+        boxes = [_nonzero_box(phi.values) for phi in chunk]
+        source = np.concatenate([op.apply(phi.values[box][None], box) for phi, box in zip(chunk, boxes)])
+        stop = tol * np.array(phi_norms[first : first + op.stack_limit])
         members = np.arange(len(chunk))
         histories: list[list[float]] = [[] for _ in chunk]
         final = np.empty_like(source)  # each member's last c
@@ -197,8 +226,8 @@ def _neumann_stack(
         step = source
         for k in range(max_iter):
             if k:
-                step = source + mu_box * plan.apply(c, plan.multiplier_s, *box, at=box)
-            residual = grid.spacing * _root_sum_sq(step - c)
+                step = source + op.apply(c, op.box)
+            residual = mu.grid.spacing * _root_sum_sq(step - c)
             for j, m in enumerate(members):
                 histories[m].append(float(residual[j]))
             c = step
@@ -213,8 +242,8 @@ def _neumann_stack(
         final[members] = c
         for m, phi in enumerate(chunk):
             h = phi.values.copy()
-            h[box] += final[m]
-            reports.append(SolveReport(ComplexField(grid, h), histories[m], bool(converged[m]), tol))
+            h[op.box] += final[m]
+            reports.append(SolveReport(ComplexField(mu.grid, h), histories[m], bool(converged[m]), tol))
     return reports
 
 
@@ -263,17 +292,16 @@ def weighted_operator_norm(
     ||A*A y - theta y||_w / theta; with ``tol = 0`` exactly ``max_iter``
     steps run, which makes scaling comparisons deterministic.  The
     iteration holds three n x n vectors and starts from complex Gaussian
-    noise drawn with ``seed``.  The products run on the grid's cached
-    padding-2 plan.
+    noise drawn with ``seed``.
 
     Lanczos runs on x = v / sqrt|y|, in which the weighted inner product
     is the plain one up to the cell area, a constant that normalisation
     drops.  There A*A becomes x -> sqrt|y| S*(|mu|^2/|y| S(sqrt|y| x)),
-    and the inner S is needed only on mu's nonzero box B: S is applied
-    from the grid to B and S* from B back to the grid, with |mu|^2/|y|
-    precomputed on B.  The tridiagonal matrices, hence the Ritz values
-    and step counts, are those of the iteration in v up to rounding;
-    the seeded noise is the start vector v.
+    and the inner S is needed only on mu's nonzero box B: each step is
+    one ``_MuS.gram``, S from the grid to B and S* from B back to the
+    grid, with |mu|^2/|y| precomputed on B.  The tridiagonal matrices,
+    hence the Ritz values and step counts, are those of the iteration in
+    v up to rounding; the seeded noise is the start vector v.
 
     Returns
     -------
@@ -283,26 +311,11 @@ def weighted_operator_norm(
         steps, residual = the last relative Ritz residual.  A zero mu
         stops at step 1 with theta = 0 and residual 0.
     """
-    grid = mu.grid
-    plan = plan_for(grid)
-    mu_vals = mu.field.values
-    abs_y = np.abs(grid.y)
-    sqrt_y = np.sqrt(abs_y)[None, :]
-    rows, cols = box = _nonzero_box(mu_vals)
-    mu_box = mu_vals[box]
-    weight_box = (mu_box.real**2 + mu_box.imag**2) / abs_y[None, cols]
-    everywhere = (slice(0, grid.n), slice(0, grid.n))
-
+    n = mu.grid.n
+    op = _MuS(mu)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        s_box = plan.apply(sqrt_y * x, plan.multiplier_s, rows, cols, at=everywhere)
-        out = plan.apply(weight_box * s_box, plan.multiplier_s_star, at=box)
-        out *= sqrt_y
-        return out
-
-    history, residual = _lanczos_top(apply, np.vdot, v / sqrt_y, tol, max_iter)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    history, residual = _lanczos_top(op.gram, np.vdot, v / op.sqrt_y, tol, max_iter)
     return LanczosRecord(
         weighted_norm_estimate=float(np.sqrt(history[-1])),
         iteration_count=len(history),

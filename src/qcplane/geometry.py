@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .field import BeltramiCoefficient, ComplexField, Grid
-from .transforms import _lanczos_top
+from .transforms import _lanczos_top, _row_blocks
 
 __all__ = [
     "MapEvaluator",
@@ -151,12 +151,6 @@ def _chord_arc_witness_ratio(trace: CurveTrace, i: int, j: int) -> float:
     return float((trace.cum_length[j] - trace.cum_length[i]) / chord)
 
 
-def _rows_per_block(width: int, entry_bytes: int) -> int:
-    """Rows of ``width`` entries per block of a pairwise sweep, so that a
-    block's temporaries, about ``entry_bytes`` per entry, stay near 256 KiB."""
-    return max(1, (256 * 1024) // (entry_bytes * width))
-
-
 # the central fraction of a trace's parameter interval that chord_arc_constant sweeps
 _CHORD_ARC_WINDOW = 0.5
 
@@ -187,9 +181,8 @@ def chord_arc_constant(trace: CurveTrace) -> ChordArcReport:
     # A block's first maximum in row-major order is the first of the
     # sweep's maxima in that block; keeping it only when it beats every
     # earlier block keeps the first maximum of the whole sweep.
-    step = _rows_per_block(idx.size, 48)
-    for first in range(0, idx.size - 1, step):
-        last = min(first + step, idx.size - 1)
+    for rows in _row_blocks(idx.size - 1, idx.size, 48):
+        first, last = rows.start, rows.stop
         upper = np.arange(idx.size - first - 1)[None, :] >= np.arange(last - first)[:, None]
         chords = np.abs(pts[None, first + 1 :] - pts[first:last, None])
         if np.any(chords[upper] == 0.0):
@@ -311,9 +304,8 @@ def regularity_check(trace: CurveTrace) -> float:
     radii = r0 * 2.0 ** np.arange(int(np.floor(np.log2(r1 / r0))) + 1)
     centers = trace.strided(256).points
     best = 0.0
-    step = _rows_per_block(seg.size, 24)
-    for first in range(0, centers.size, step):
-        dist = np.abs(mid[None, :] - centers[first : first + step, None])
+    for rows in _row_blocks(centers.size, seg.size, 24):
+        dist = np.abs(mid[None, :] - centers[rows, None])
         for r in radii:
             mass = np.where(dist <= r, seg, 0.0).sum(axis=1)
             best = max(best, float((mass / r).max()))

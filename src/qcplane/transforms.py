@@ -133,11 +133,12 @@ class SpectralPlan:
     The four transforms of an apply run in place on one complex
     workspace per plan and per thread, which grows to the largest
     stack of windows that thread has served and is reused by every
-    smaller one.  It lives as long as the plan and the thread.  Callers
-    hold a stack to ``_stack_limit`` blocks, which keeps p times the
-    window within 16 next_fast_len(2n - 1)^2 bytes, the size of one
-    full-box window (1 MiB at n = 128, 16 MiB at n = 512).  Every apply
-    returns a fresh array; no view of the workspace reaches a caller.
+    smaller one.  It lives as long as the plan and the thread.  The
+    stacks of the mu S operator (``beltrami._MuS.stack_limit``) keep p
+    times the window within 16 next_fast_len(2n - 1)^2 bytes, the size
+    of one full-box window (1 MiB at n = 128, 16 MiB at n = 512).  Every
+    apply returns a fresh array; no view of the workspace reaches a
+    caller.
     """
 
     def __init__(self, grid: Grid, padding_factor: int = 2):
@@ -275,14 +276,6 @@ def _contiguous(n: int, span: slice | None, name: str) -> slice:
     if r.step != 1:
         raise ValueError(f"{name} must be a contiguous slice")
     return slice(r.start, max(r.start, r.stop))
-
-
-def _stack_limit(n: int, box: tuple[slice, slice]) -> int:
-    """Most blocks at ``box`` that one stacked apply from ``box`` to itself
-    may hold: as many of its windows as fill one full-box window of the
-    n x n grid, and at least one, so a full-box stack holds one block."""
-    extent = [scipy.fft.next_fast_len(max(1, 2 * (s.stop - s.start) - 1)) for s in box]
-    return max(1, scipy.fft.next_fast_len(2 * n - 1) ** 2 // (extent[0] * extent[1]))
 
 
 def _nonzero_box(values: np.ndarray) -> tuple[slice, slice]:
@@ -497,14 +490,26 @@ def cauchy_at_points(f: ComplexField, points: np.ndarray) -> np.ndarray:
 
 
 def _chunked_kernel_sum(targets: np.ndarray, sources: np.ndarray, block_sum) -> np.ndarray:
-    """Direct kernel sums: ``block_sum(sources[None, :] - targets[chunk, None])``
-    gives one value per target, over chunks of about 4e6 pairs."""
+    """Direct kernel sums: ``block_sum(sources[None, :] - targets[rows, None])``
+    gives one value per target, over the row blocks of ``_row_blocks``."""
     out = np.zeros(targets.size, dtype=complex)
     if sources.size:
-        chunk = max(1, int(4_000_000 // sources.size))
-        for start in range(0, targets.size, chunk):
-            out[start : start + chunk] = block_sum(sources[None, :] - targets[start : start + chunk, None])
+        for rows in _row_blocks(targets.size, sources.size, 32):
+            out[rows] = block_sum(sources[None, :] - targets[rows, None])
     return out
+
+
+# bytes of temporaries per block of a pairwise sweep
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(count: int, width: int, entry_bytes: int):
+    """Slices of range(count), the rows of a pairwise sweep over ``width``
+    columns, so that a block's temporaries, about ``entry_bytes`` per
+    entry, stay near ``_BLOCK_BYTES``; every block has at least one row."""
+    step = max(1, _BLOCK_BYTES // (entry_bytes * width))
+    for first in range(0, count, step):
+        yield slice(first, min(first + step, count))
 
 
 # Antisymmetric centered first-derivative weights for offsets 1..p at

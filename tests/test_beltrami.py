@@ -397,6 +397,32 @@ class TestWeightedOperatorNorm:
         assert stats.iteration_count == 1 and stats.rayleigh_history == [0.0]
         assert stats.residual == 0.0
 
+    def test_iteration_stays_on_mu_box(self, monkeypatch):
+        # each Lanczos step is two block-form applies: S from the whole
+        # grid onto mu's box B, then S* from B back to the whole grid
+        grid = q.Grid(4.0, 32)
+        mu = q.BeltramiCoefficient(boxed_field(grid, (10, 16), (12, 20), 5, 0.6))
+        plan = q.SpectralPlan(grid)
+        calls = []
+
+        def apply(values, table, rows=None, cols=None, at=None):
+            name = "S" if table is plan.multiplier_s else "S*" if table is plan.multiplier_s_star else "?"
+            calls.append((name, values.shape, rows, cols, at))
+            return q.SpectralPlan.apply(plan, values, table, rows, cols, at)
+
+        plan.apply = apply
+        monkeypatch.setattr("qcplane.beltrami.plan_for", lambda grid: plan)
+        stats = q.weighted_operator_norm(mu)
+        box = (slice(10, 16), slice(12, 20))
+
+        def spans(*slices):
+            return [range(32)[s or slice(None)] for s in slices]
+
+        assert len(calls) == 2 * stats.iteration_count > 2
+        for (name, shape, rows, cols, at), (star, star_shape, *out, star_at) in zip(calls[::2], calls[1::2]):
+            assert (name, shape, (rows, cols), spans(*at)) == ("S", (32, 32), box, spans(None, None))
+            assert (star, star_shape, spans(*out), star_at) == ("S*", (6, 8), spans(None, None), box)
+
     @pytest.mark.parametrize("seed", [2])
     def test_same_krylov_sequence_as_weighted_inner_product(self, seed):
         # Lanczos in the weighted inner product itself, on n x n fields:

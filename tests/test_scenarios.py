@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcplane.scenarios
-from qcplane import Grid
+from qcplane import Grid, carleson_density, carleson_norm, inverse_weighted_bound, weighted_operator_norm
 from qcplane.scenarios import ScenarioConfig, build_scenario, compare_theorem1, run_scenario, verify_theorem2
 
 
@@ -58,3 +58,31 @@ def test_theorem1_row_matches_run(tmp_path):
     report = run_scenario(configs[0])
     assert row["carleson_norm"] == report["carleson"]["norm"]
     assert row["operator_norm_sq"] == report["operator"]["weighted_norm_estimate"] ** 2
+
+
+
+def _carleson(kind, n, **params):
+    mu, _ = build_scenario(ScenarioConfig(kind=kind, grid_n=n, **params))
+    return mu, carleson_norm(carleson_density(mu)).norm
+
+
+def test_ball_constants_converge_in_h():
+    # Carleson norm, weighted norm of mu S and probe c1 of the c = 0.5 ball
+    # read 0.01909 / 0.52998 / 1.2023 at n = 128 and 0.01889 / 0.53029 /
+    # 1.2037 at n = 256: changes of 1.07%, 0.058% and 0.118%.  Each bound
+    # is at least twice its measured change.
+    constants = []
+    for n in (128, 256):
+        mu, carleson = _carleson("ball", n, c=0.5)
+        operator = weighted_operator_norm(mu).weighted_norm_estimate
+        constants.append((carleson, operator, inverse_weighted_bound(mu).probe_c1_estimate))
+    for coarse, fine, bound in zip(*constants, (0.025, 0.002, 0.003)):
+        assert abs(fine / coarse - 1.0) <= bound
+
+
+def test_ba_extension_carleson_grows_like_log_one_over_h():
+    # |mu| -> 1/3 along the whole real axis, so the Carleson norm grows by
+    # (4/9) ln 2 = 0.3081 per halving of h.  It read 3.2583 at n = 256 and
+    # 3.5689 at 512, an increment 0.81% above that.
+    increment = _carleson("ba_extension", 512)[1] - _carleson("ba_extension", 256)[1]
+    assert abs(increment / (4.0 / 9.0 * np.log(2.0)) - 1.0) <= 0.03
