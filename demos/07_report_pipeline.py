@@ -39,7 +39,7 @@ table = q.compare_theorem1(family, out_dir=str(out / "table"))
 for row in table["rows"]:
     print(f"{row['label']}: carleson {row['carleson_norm']:.6f}, "
           f"operator^2 {row['operator_norm_sq']:.6f}, ratio {row['ratio']:.3f}")
-print(f"slope of log ||mu S||^2 under mu -> t mu: {table['norm_sq_slope']:.4f} "
+print(f"slope of log ||mu S||^2 against sup|mu| over the family: {table['norm_sq_slope']:.4f} "
       f"(homogeneity makes this exactly 2)")
 
 # --- the invertibility-vs-geometry summary ----------------------------

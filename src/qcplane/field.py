@@ -267,16 +267,17 @@ def indicator_ball(
     Raises
     ------
     ValueError
-        If the ball does not fit inside [-L, L]^2, or the ramp is wider
-        than the radius.
+        If the radius is not positive, the ball does not fit inside
+        [-L, L]^2, or the ramp is wider than the radius; a NaN center,
+        radius or width fails these tests too.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-    if mollify_width < 0 or mollify_width > radius:
+    if not 0 <= mollify_width <= radius:
         raise ValueError("mollify_width must lie in [0, radius]")
     L = grid.half_width
     cx, cy = float(np.real(center)), float(np.imag(center))
-    if abs(cx) + radius > L or abs(cy) + radius > L:
+    if not (abs(cx) + radius <= L and abs(cy) + radius <= L):
         raise ValueError(f"ball B({center}, {radius}) escapes the domain [-{L}, {L}]^2")
     # every cell off the ball's bounding box lies farther than radius
     # from the center, where both profiles are exactly 0

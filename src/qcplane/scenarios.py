@@ -12,10 +12,11 @@ per-run record, ``_Run``, where each stage call is written once.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from importlib.resources import files as _resource_files
 from pathlib import Path
@@ -58,9 +59,6 @@ __all__ = [
 OUTPUT_ROOT_ENV = "QCPLANE_OUT"
 
 SCENARIO_KINDS = ("ball", "prop2", "ba_extension", "custom-file")
-
-# the scalings t of mu -> t*mu behind theorem1's norm_sq_slope
-THEOREM1_T_VALUES = (0.2, 0.4, 0.8)
 
 
 class ConfigError(ValueError):
@@ -138,9 +136,10 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
     Raises
     ------
     ConfigError
-        On a config that names no scenario kind, or that its kind cannot
-        build: each parameter is checked before the computation that
-        uses it.
+        On a config that names no scenario kind, that has a non-finite
+        number, even in a field its kind ignores (every field goes into
+        the report header), or that its kind cannot build: each
+        parameter is checked before the computation that uses it.
     """
     if config.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {config.kind!r}; expected one of {SCENARIO_KINDS}")
@@ -148,6 +147,10 @@ def build_scenario(config: ScenarioConfig) -> tuple[BeltramiCoefficient, MapEval
         grid = Grid(config.grid_l, config.grid_n)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    for param in fields(config):
+        value = getattr(config, param.name)
+        if param.type in ("float", "complex") and not cmath.isfinite(value):
+            raise ConfigError(f"{param.name} must be finite, got {value!r}")
     if not config.tol > 0:
         raise ConfigError("tol must be positive")
     if config.trace_samples < 64:
@@ -329,16 +332,16 @@ def run_scenario(config: ScenarioConfig) -> dict:
 def compare_theorem1(configs: list[ScenarioConfig], out_dir: Path | str | None = None) -> dict:
     """Equivalence table: Carleson norm vs weighted operator norm squared.
 
-    One row per family member plus the log-log slope of the operator
-    norm squared under mu -> t*mu, t in ``THEOREM1_T_VALUES``, for the
-    first member.  Each t runs exactly as many Lanczos steps as the first
-    member's converged run took (``tol = 0``): the same start vector then
-    gives estimates that scale exactly as t, so the slope is 2 up to
-    rounding.  The first member's own budget needs no tuning, since its
-    stopping test, a relative Ritz residual, is itself invariant under
-    mu -> t*mu.  A member whose Carleson norm is 0 or subnormal (mu vanishes, or
-    |mu|^2 underflows, so its ratio and the slope are rounding artefacts)
-    is a ConfigError, raised before any operator norm runs.
+    One row per family member plus ``norm_sq_slope``, the least-squares
+    slope of log operator norm squared against log sup|mu| over the
+    members.  For a family of scalings of one mu (the CLI's ``--c``
+    list) it is 2 up to rounding: the members' Lanczos runs share one
+    start vector and a stop, a relative Ritz residual, that is invariant
+    under mu -> t*mu, so their estimates scale exactly as t.  A member
+    whose Carleson norm is 0 or subnormal (mu vanishes, or |mu|^2
+    underflows, so its ratio and the slope are rounding artefacts), or a
+    family with a single sup|mu|, which leaves the slope undefined, is a
+    ConfigError, raised before any operator norm runs.
     """
     if len(configs) < 3:
         raise ConfigError("theorem1 family needs at least 3 members")
@@ -348,30 +351,23 @@ def compare_theorem1(configs: list[ScenarioConfig], out_dir: Path | str | None =
     for i, run in enumerate(runs):
         if not run.carleson.norm >= np.finfo(float).tiny:
             raise ConfigError(f"theorem1 member {i} has a vanishing dilatation; its ratio is undefined")
-    rows = []
-    for i, run in enumerate(runs):
-        op_sq = run.operator.weighted_norm_estimate**2
-        rows.append(
-            {
-                "label": f"{run.config.kind}-{i}",
-                "carleson_norm": run.carleson.norm,
-                "operator_norm_sq": op_sq,
-                "ratio": op_sq / run.carleson.norm,
-            }
-        )
-
-    mu0, budget = runs[0].mu, runs[0].operator.iteration_count
-    estimates = []
-    for t in THEOREM1_T_VALUES:
-        stats = weighted_operator_norm(mu0.scaled(t), tol=0.0, max_iter=budget, seed=configs[0].seed)
-        estimates.append(stats.weighted_norm_estimate)
-    slope = float(
-        np.polyfit(np.log(np.asarray(THEOREM1_T_VALUES)), np.log(np.asarray(estimates) ** 2), 1)[0]
-    )
+    sups = [run.mu.sup_bound for run in runs]
+    if len(set(sups)) == 1:
+        raise ConfigError(f"theorem1 family has one amplitude, sup|mu| = {sups[0]:g}; its slope is undefined")
+    norms_sq = [run.operator.weighted_norm_estimate**2 for run in runs]
+    rows = [
+        {
+            "label": f"{run.config.kind}-{i}",
+            "carleson_norm": run.carleson.norm,
+            "operator_norm_sq": op_sq,
+            "ratio": op_sq / run.carleson.norm,
+        }
+        for i, (run, op_sq) in enumerate(zip(runs, norms_sq))
+    ]
+    slope = float(np.polyfit(np.log(sups), np.log(norms_sq), 1)[0])
     table = {
         "document": "theorem1-table",
         "rows": rows,
-        "t_values": [float(t) for t in THEOREM1_T_VALUES],
         "norm_sq_slope": slope,
         "config_hashes": [config.config_hash() for config in configs],
     }

@@ -250,6 +250,37 @@ class TestErrorPaths:
         assert "vanishing dilatation" in doc["message"]
         assert not (tmp_path / "theorem1.json").exists()
 
+    @pytest.mark.parametrize("amplitudes", [["0.3", "0.3", "0.3"], ["0.3", "-0.3", "0.3"]], ids=["same", "signed"])
+    def test_theorem1_single_amplitude_exit_two(self, tmp_path, amplitudes):
+        # one sup|mu| leaves the log-log slope of the table undefined
+        code, out, err = run_cli(["theorem1", "--grid-n", "64", "--c", *amplitudes, "--out", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "one amplitude" in doc["message"]
+        assert not (tmp_path / "theorem1.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [("ball", "--k"), ("prop2", "--c"), ("prop2", "--radius"), ("ball", "--tol"), ("prop2", "--center")],
+        ids=lambda p: p.lstrip("-"),
+    )
+    @pytest.mark.parametrize("command", ["run", "theorem2"])
+    def test_non_finite_config_value_exit_two(self, tmp_path, command, kind, flag, value):
+        # every config field goes into the report header, even one the kind ignores
+        code, out, err = run_cli(
+            [command, "--scenario", kind, flag, value, "--grid-n", "32", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "must be finite" in doc["message"]
+        for name in ("mu.bin", "report.json", "theorem2.json"):
+            assert not (tmp_path / name).exists()
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
     @pytest.mark.parametrize(
         "argv", [["run", "--scenario", "ball"], ["theorem1"], ["theorem2", "--scenario", "ball"]], ids=lambda a: a[0]

@@ -158,6 +158,16 @@ class TestIndicatorBall:
         with pytest.raises(ValueError):
             q.indicator_ball(grid256, 7.5 + 0j, 1.0)  # escapes the box
 
+    @pytest.mark.parametrize(
+        "center, radius, width",
+        [(complex("nan"), 1.0, 0.0), (complex(0.0, np.nan), 1.0, 0.0), (0.0, np.nan, 0.0), (0.0, 1.0, np.nan)],
+        ids=["center-real", "center-imag", "radius", "width"],
+    )
+    def test_nan_parameter_raises(self, grid256, center, radius, width):
+        # every comparison with NaN is false, so a check like `radius <= 0` lets NaN through
+        with pytest.raises(ValueError):
+            q.indicator_ball(grid256, center, radius, mollify_width=width)
+
     def test_mass_and_range(self, grid256):
         ball = q.indicator_ball(grid256, 2j, 1.0, mollify_width=0.25)
         vals = ball.values.real

@@ -60,6 +60,44 @@ def test_theorem1_row_matches_run(tmp_path):
     assert row["operator_norm_sq"] == report["operator"]["weighted_norm_estimate"] ** 2
 
 
+def test_theorem1_runs_one_operator_norm_per_member(monkeypatch):
+    calls = []
+    weighted_norm = qcplane.scenarios.weighted_operator_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return weighted_norm(*args, **kwargs)
+
+    monkeypatch.setattr(qcplane.scenarios, "weighted_operator_norm", counted)
+    compare_theorem1([ScenarioConfig(kind="ball", grid_n=32, c=c) for c in (0.2, 0.4, 0.6)])
+    assert len(calls) == 3
+
+
+def test_theorem1_slope_of_a_scaled_family_is_two():
+    # the CLI's default family: scalings of one mu, whose estimates scale exactly
+    table = compare_theorem1([ScenarioConfig(kind="ball", grid_n=64, c=c) for c in (0.2, 0.4, 0.6)])
+    assert table["norm_sq_slope"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_theorem1_slope_is_the_fit_over_the_rows():
+    # not a family of scalings: mixed radii and centers
+    configs = [
+        ScenarioConfig(kind="ball", grid_n=64, c=c, center=center, radius=radius)
+        for c, center, radius in ((0.2, 4j, 1.0), (0.5, 3j, 2.0), (0.3, 1 + 5j, 1.5))
+    ]
+    table = compare_theorem1(configs)
+    sups = [build_scenario(config)[0].sup_bound for config in configs]
+    norms_sq = [row["operator_norm_sq"] for row in table["rows"]]
+    assert table["norm_sq_slope"] == float(np.polyfit(np.log(sups), np.log(norms_sq), 1)[0])
+
+
+def test_theorem1_single_amplitude_is_a_config_error(monkeypatch):
+    # the same c at three centers: one sup|mu|, so no slope
+    monkeypatch.setattr(qcplane.scenarios, "weighted_operator_norm", None)
+    configs = [ScenarioConfig(kind="ball", grid_n=32, c=0.3, center=center) for center in (2j, 4j, 6j)]
+    with pytest.raises(qcplane.scenarios.ConfigError, match="one amplitude"):
+        compare_theorem1(configs)
+
 
 def _carleson(kind, n, **params):
     mu, _ = build_scenario(ScenarioConfig(kind=kind, grid_n=n, **params))
