@@ -329,32 +329,54 @@ def run_scenario(config: ScenarioConfig) -> dict:
     return report
 
 
+def _fit_rank(sups: list[float]) -> int:
+    """Rank of the log-sup design of a degree-1 fit, by the test ``np.polyfit``
+    applies: columns scaled to unit norm, ``lstsq`` rank at rcond len * eps.
+    Amplitudes equal up to rounding give rank 1."""
+    design = np.vander(np.log(sups), 2)
+    design /= np.sqrt((design * design).sum(axis=0))
+    return int(np.linalg.lstsq(design, np.zeros(len(sups)), rcond=len(sups) * np.finfo(float).eps)[2])
+
+
 def compare_theorem1(configs: list[ScenarioConfig], out_dir: Path | str | None = None) -> dict:
     """Equivalence table: Carleson norm vs weighted operator norm squared.
 
     One row per family member plus ``norm_sq_slope``, the least-squares
     slope of log operator norm squared against log sup|mu| over the
-    members.  For a family of scalings of one mu (the CLI's ``--c``
-    list) it is 2 up to rounding: the members' Lanczos runs share one
-    start vector and a stop, a relative Ritz residual, that is invariant
-    under mu -> t*mu, so their estimates scale exactly as t.  A member
-    whose Carleson norm is 0 or subnormal (mu vanishes, or |mu|^2
-    underflows, so its ratio and the slope are rounding artefacts), or a
-    family with a single sup|mu|, which leaves the slope undefined, is a
-    ConfigError, raised before any operator norm runs.
+    members.  There is one Lanczos run per ball shape: ball members whose
+    configs are equal apart from ``c`` and ``out_dir`` share the run of
+    the first of them, scaled by |c| / |c_ref| (the ratio taken first, so
+    a power-of-two ratio is exact).  That is each member's own estimate
+    up to rounding: mu = c * bump, so its own run would start from the
+    same seeded vector with ``_MuS.gram`` scaled by (c / c_ref)^2, and
+    the stop, a relative Ritz residual, is invariant under that scaling.
+    So a family of scalings of one mu (the CLI's ``--c`` list) has slope
+    2 up to rounding.  A member whose Carleson norm is 0 or subnormal (mu
+    vanishes, or |mu|^2 underflows, so its ratio and the slope are
+    rounding artefacts), or a family whose sup|mu| are one amplitude up
+    to rounding, which leaves the slope undefined, is a ConfigError,
+    raised before the output directory is made and before any operator
+    norm runs.
     """
     if len(configs) < 3:
         raise ConfigError("theorem1 family needs at least 3 members")
     runs = [_Run(config) for config in configs]
-    if out_dir is not None:
-        out_dir = _output_dir(out_dir)
     for i, run in enumerate(runs):
         if not run.carleson.norm >= np.finfo(float).tiny:
             raise ConfigError(f"theorem1 member {i} has a vanishing dilatation; its ratio is undefined")
     sups = [run.mu.sup_bound for run in runs]
-    if len(set(sups)) == 1:
+    if _fit_rank(sups) < 2:
         raise ConfigError(f"theorem1 family has one amplitude, sup|mu| = {sups[0]:g}; its slope is undefined")
-    norms_sq = [run.operator.weighted_norm_estimate**2 for run in runs]
+    if out_dir is not None:
+        out_dir = _output_dir(out_dir)
+    shape_runs: dict = {}
+    norms_sq = []
+    for i, run in enumerate(runs):
+        config = run.config
+        shape = replace(config, c=0.0, out_dir=None) if config.kind == "ball" else i
+        ref = shape_runs.setdefault(shape, run)
+        scale = 1.0 if ref is run else abs(config.c) / abs(ref.config.c)
+        norms_sq.append((ref.operator.weighted_norm_estimate * scale) ** 2)
     rows = [
         {
             "label": f"{run.config.kind}-{i}",

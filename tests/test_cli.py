@@ -226,40 +226,43 @@ class TestErrorPaths:
         assert json.loads(err.strip())["error"] == "config"
 
     def test_theorem1_vanishing_member_exit_two(self, tmp_path):
-        code, out, err = run_cli(
-            ["theorem1", "--grid-n", "64", "--c", "0", "0.2", "0.4", "--out", str(tmp_path)]
-        )
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["theorem1", "--grid-n", "64", "--c", "0", "0.2", "0.4", "--out", str(out_dir)])
         assert code == 2
         assert out == ""
         doc = json.loads(err.strip())
         assert doc["error"] == "config"
         assert "vanishing dilatation" in doc["message"]
-        assert not (tmp_path / "theorem1.json").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("c", ["1e-200", "1e-160"])
     def test_theorem1_underflowing_member_exit_two(self, tmp_path, c):
         # |c|^2 underflows to 0 (1e-200) or to a subnormal (1e-160): the ratio
         # and the slope would be rounding artefacts, and the slope a NaN
-        code, out, err = run_cli(
-            ["theorem1", "--grid-n", "64", "--c", c, "0.2", "0.4", "--out", str(tmp_path)]
-        )
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["theorem1", "--grid-n", "64", "--c", c, "0.2", "0.4", "--out", str(out_dir)])
         assert code == 2
         assert out == ""
         doc = json.loads(err.strip())
         assert doc["error"] == "config"
         assert "vanishing dilatation" in doc["message"]
-        assert not (tmp_path / "theorem1.json").exists()
+        assert not out_dir.exists()
 
-    @pytest.mark.parametrize("amplitudes", [["0.3", "0.3", "0.3"], ["0.3", "-0.3", "0.3"]], ids=["same", "signed"])
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [["0.3", "0.3", "0.3"], ["0.3", "-0.3", "0.3"], ["0.3", "0.30000000000000004", "0.3"]],
+        ids=["same", "signed", "one-ulp"],
+    )
     def test_theorem1_single_amplitude_exit_two(self, tmp_path, amplitudes):
-        # one sup|mu| leaves the log-log slope of the table undefined
-        code, out, err = run_cli(["theorem1", "--grid-n", "64", "--c", *amplitudes, "--out", str(tmp_path)])
+        # one sup|mu|, exactly or to rounding, leaves the log-log slope of the table undefined
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["theorem1", "--grid-n", "64", "--c", *amplitudes, "--out", str(out_dir)])
         assert code == 2
         assert out == ""
         doc = json.loads(err.strip())
         assert doc["error"] == "config"
         assert "one amplitude" in doc["message"]
-        assert not (tmp_path / "theorem1.json").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(

@@ -60,17 +60,42 @@ def test_theorem1_row_matches_run(tmp_path):
     assert row["operator_norm_sq"] == report["operator"]["weighted_norm_estimate"] ** 2
 
 
-def test_theorem1_runs_one_operator_norm_per_member(monkeypatch):
+# (c, center, radius, seed) per member, and the members whose weighted-norm
+# run the family makes: one per ball shape, the first member of that shape
+ONE_RUN_PER_SHAPE = {
+    "cli": (((0.2, 4j, 1.0, 0), (0.4, 4j, 1.0, 0), (0.6, 4j, 1.0, 0)), [0]),
+    "mixed": (((0.2, 4j, 1.0, 0), (0.5, 3j, 2.0, 0), (0.3, 1 + 5j, 1.5, 0)), [0, 1, 2]),
+    "center": (((0.2, 4j, 1.0, 0), (0.3, 2j, 1.0, 0), (0.4, 4j, 1.0, 0)), [0, 1]),
+    "seed": (((0.2, 4j, 1.0, 0), (0.4, 4j, 1.0, 1), (0.6, 4j, 1.0, 0)), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("members, referenced", ONE_RUN_PER_SHAPE.values(), ids=ONE_RUN_PER_SHAPE)
+def test_theorem1_runs_one_operator_norm_per_shape(monkeypatch, members, referenced):
     calls = []
     weighted_norm = qcplane.scenarios.weighted_operator_norm
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return weighted_norm(*args, **kwargs)
+    def counted(mu, **kwargs):
+        calls.append((mu.sup_bound, kwargs["seed"]))
+        return weighted_norm(mu, **kwargs)
 
     monkeypatch.setattr(qcplane.scenarios, "weighted_operator_norm", counted)
-    compare_theorem1([ScenarioConfig(kind="ball", grid_n=32, c=c) for c in (0.2, 0.4, 0.6)])
-    assert len(calls) == 3
+    configs = [
+        ScenarioConfig(kind="ball", grid_n=32, c=c, center=center, radius=radius, seed=seed)
+        for c, center, radius, seed in members
+    ]
+    compare_theorem1(configs)
+    sups = [build_scenario(config)[0].sup_bound for config in configs]
+    assert calls == [(sups[i], configs[i].seed) for i in referenced]
+
+
+def test_theorem1_scaled_rows_match_own_runs():
+    # a member that shares a run reads that member's own estimate to rounding
+    configs = [ScenarioConfig(kind="ball", grid_n=64, c=c) for c in (0.2, -0.4, 0.6, 0.9)]
+    table = compare_theorem1(configs)
+    for config, row in zip(configs, table["rows"]):
+        own = weighted_operator_norm(build_scenario(config)[0], seed=config.seed).weighted_norm_estimate
+        assert row["operator_norm_sq"] == pytest.approx(own**2, rel=1e-14, abs=0)
 
 
 def test_theorem1_slope_of_a_scaled_family_is_two():
