@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,38 +35,34 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-n", type=int, default=256, help="grid points per axis (power of two)")
-    parser.add_argument("--grid-l", type=float, default=8.0, help="grid half-width")
-    parser.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-    parser.add_argument("--out", type=str, default=None, help="output directory (default: $QCPLANE_OUT)")
-
-
-def _add_scenario_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=float, default=1.5, help="distortion parameter in (1, 2)")
-    parser.add_argument("--c", type=float, default=0.3, help="ball dilatation amplitude, |c| < 1")
-    parser.add_argument("--center", type=complex, default=4j, help="ball center, e.g. '1+4j'")
-    parser.add_argument("--radius", type=float, default=1.0, help="ball radius")
-    parser.add_argument("--mu-file", type=str, default=None, help="stored field for the custom scenario")
+    parser.add_argument("--grid-n", type=int, help="grid points per axis (power of two)")
+    parser.add_argument("--grid-l", type=float, help="grid half-width")
+    parser.add_argument("--tol", type=float, help="solver tolerance")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory (default: $QCPLANE_OUT)")
+    parser.add_argument("--center", type=complex, help="ball center, e.g. '1+4j'")
+    parser.add_argument("--radius", type=float, help="ball radius")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcplane", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
+    # a scenario option left out is absent from the namespace and takes its ScenarioConfig default
     for name, help_text in (
         ("run", "run one scenario and write its report bundle"),
         ("theorem2", "invertibility and chord-arc summary for one scenario"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
         _add_common(p)
-        _add_scenario_params(p)
+        p.add_argument("--k", type=float, help="distortion parameter in (1, 2)")
+        p.add_argument("--c", type=float, help="ball dilatation amplitude, |c| < 1")
+        p.add_argument("--mu-file", type=str, help="stored field for the custom scenario")
 
-    p_t1 = sub.add_parser("theorem1", help="Carleson norm vs operator norm table over a ball family")
+    p_t1 = sub.add_parser(
+        "theorem1", help="Carleson norm vs operator norm table over a ball family", argument_default=argparse.SUPPRESS
+    )
     _add_common(p_t1)
     p_t1.add_argument("--c", type=float, nargs="+", default=[0.2, 0.4, 0.6], help="family amplitudes")
-    p_t1.add_argument("--center", type=complex, default=4j)
-    p_t1.add_argument("--radius", type=float, default=1.0)
 
     p_st = sub.add_parser("transform-selftest", help="quick operator identities on a seeded field")
     p_st.add_argument("--grid-n", type=int, default=256)
@@ -73,27 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace, kind: str, c: float | None = None) -> ScenarioConfig:
-    return ScenarioConfig(
-        kind=kind,
-        grid_n=args.grid_n,
-        grid_l=args.grid_l,
-        tol=args.tol,
-        c=args.c if c is None else c,
-        center=args.center,
-        radius=args.radius,
-        k=getattr(args, "k", 1.5),
-        mu_file=getattr(args, "mu_file", None),
-        out_dir=args.out,
-    )
+def _config_from(args: argparse.Namespace, **given) -> ScenarioConfig:
+    """The config of the options given and of ``given``; an option left out takes its ScenarioConfig default."""
+    options = {f.name: getattr(args, f.name) for f in fields(ScenarioConfig) if hasattr(args, f.name)}
+    return ScenarioConfig(**{**options, **given})
 
 
 def _out(args: argparse.Namespace) -> str:
-    return args.out or str(default_output_root())
+    return getattr(args, "out_dir", None) or str(default_output_root())
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = run_scenario(_config_from(args, args.scenario))
+    report = run_scenario(_config_from(args, kind=args.scenario))
     print(f"report written to {_out(args)}/report.json (config {report['config_hash'][:12]})")
     print(
         f"carleson={report['carleson']['norm']:.6g} "
@@ -105,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> int:
-    table = compare_theorem1([_config_from(args, "ball", c=c) for c in args.c], out_dir=_out(args))
+    table = compare_theorem1([_config_from(args, kind="ball", c=c) for c in args.c], out_dir=_out(args))
     for row in table["rows"]:
         print(
             f"{row['label']}: carleson={row['carleson_norm']:.6g} "
@@ -116,7 +104,7 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
-    summary = verify_theorem2(_config_from(args, args.scenario), out_path=f"{_out(args)}/theorem2.json")
+    summary = verify_theorem2(_config_from(args, kind=args.scenario), out_path=f"{_out(args)}/theorem2.json")
     print(
         f"carleson={summary['carleson_norm']:.6g} c1={summary['c1_estimate']:.6g} "
         f"chord_arc={summary['chord_arc_constant']:.6g}"

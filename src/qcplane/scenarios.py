@@ -7,7 +7,7 @@ the analyzers and writes a JSON report plus CSV/binary artifacts whose
 bytes depend only on the config: seeds are explicit, no timestamps are
 recorded, and keys are emitted sorted.  ``run_scenario``,
 ``compare_theorem1`` and ``verify_theorem2`` read their stages from one
-per-run record, ``_Run``, where each stage call is written once.
+per-run record, ``_Run``, which writes each stage and ``converged`` once.
 """
 
 from __future__ import annotations
@@ -95,19 +95,12 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def canonical_dict(self) -> dict:
-        center = complex(self.center)
+        """Every field but ``out_dir``, cast by its declared type; a complex is [re, im]."""
+        casts = {"int": int, "float": float, "complex": lambda z: [complex(z).real, complex(z).imag]}
         return {
-            "kind": self.kind,
-            "grid_n": int(self.grid_n),
-            "grid_l": float(self.grid_l),
-            "tol": float(self.tol),
-            "seed": int(self.seed),
-            "trace_samples": int(self.trace_samples),
-            "c": float(self.c),
-            "center": [center.real, center.imag],
-            "radius": float(self.radius),
-            "k": float(self.k),
-            "mu_file": self.mu_file,
+            f.name: casts.get(f.type, lambda value: value)(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "out_dir"
         }
 
     def config_hash(self) -> str:
@@ -207,19 +200,23 @@ def validate_document(document: dict) -> None:
         raise error
 
 
-def _write_json(path: Path, document: dict) -> None:
+def _write(path: Path | str, write) -> Path:
+    """Make one bundle directory or file by ``write(path)``; a path that cannot take it is a config error."""
+    path = Path(path)
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"unusable output path {path}: {exc}") from exc
+    return path
+
+
+def _write_json(path: Path | str, document: dict) -> None:
     validate_document(document)
-    path.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write(path, lambda p: p.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"))
 
 
 def _output_dir(path: Path | str) -> Path:
-    """Create an output directory; a path that cannot be one is a config error."""
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"unusable output directory {path}: {exc}") from exc
-    return path
+    return _write(path, lambda p: p.mkdir(parents=True, exist_ok=True))
 
 
 class _Run:
@@ -277,18 +274,46 @@ class _Run:
         return chord_arc_constant(self.trace)
 
     @cached_property
+    def regularity(self) -> float:
+        return regularity_check(self.trace)
+
+    @cached_property
+    def curve_operator_norm(self) -> float:
+        return curve_cauchy_operator(self.trace.strided(2048))
+
+    @cached_property
+    def refinement_delta(self) -> float:
+        """Relative change of the trace length when the samples double."""
+        length = self.trace.total_length()
+        fine = trace_curve(self.rho, self.grid.half_width, 2 * self.config.trace_samples)
+        return abs(fine.total_length() - length) / length
+
+    @cached_property
+    def blowup_exponent(self) -> float:
+        """Bilipschitz blowup exponent of the map over the pairs (x, -x), x from 1e-4 L to L/2."""
+        x = np.geomspace(1e-4 * self.grid.half_width, 0.5 * self.grid.half_width, 24).astype(complex)
+        return bilipschitz_profile(self.rho, np.stack([x, -x], axis=1)).blowup_exponent
+
+    @cached_property
     def energy(self) -> float:
         return rectifiability_energy(self.rho.dbar_field)
+
+    @property
+    def converged(self) -> bool:
+        """The AND of the flags of the iterative stages this run computed: operator, probes, solve."""
+        done = self.__dict__
+        records = (done.get("operator"), done.get("invertibility"), getattr(done.get("rho"), "report", None))
+        return all(record.converged for record in records if record is not None)
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
     """Full diagnostic pipeline; writes report.json, trace.csv, mu.bin.
 
     ``operator`` and ``invertibility`` each record an iteration count, a
-    final residual and a flag; the top-level ``converged`` is the AND of
-    those flags and, when it ran, the solver's.  Raises
-    NonConvergenceError after writing a partial report flagged
-    ``converged: false`` if the solver stalls.
+    final residual and a flag; the top-level ``converged`` is
+    ``_Run.converged``, the AND of those flags and, when it ran, the
+    solver's.  Raises NonConvergenceError after writing a partial report
+    flagged ``converged: false`` if the solver stalls.
     """
     run = _Run(config)
     out = _output_dir(config.out_dir or default_output_root())
@@ -302,7 +327,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         # ConfigError before any file is written
         "invertibility": asdict(run.invertibility),
     }
-    write_field(mu.field, out / "mu.bin")
+    _write(out / "mu.bin", lambda p: write_field(mu.field, p))
     report["carleson"] = run.carleson.to_json_dict()
     report["operator"] = asdict(run.operator)
 
@@ -314,17 +339,13 @@ def run_scenario(config: ScenarioConfig) -> dict:
         raise
     report["map_provenance"] = rho.provenance
     report["solver"] = rho.report.to_json_dict() if rho.report is not None else None
-    report["converged"] = (
-        run.operator.converged
-        and run.invertibility.converged
-        and (rho.report is None or rho.report.converged)
-    )
+    report["converged"] = run.converged
 
-    run.trace.to_csv(out / "trace.csv")
+    _write(out / "trace.csv", run.trace.to_csv)
     report["chord_arc"] = run.chord_arc.to_json_dict()
-    report["regularity"] = regularity_check(run.trace)
+    report["regularity"] = run.regularity
     report["energy"] = run.energy
-    report["curve_operator_norm"] = curve_cauchy_operator(run.trace.strided(2048))
+    report["curve_operator_norm"] = run.curve_operator_norm
     _write_json(out / "report.json", report)
     return report
 
@@ -397,14 +418,9 @@ def compare_theorem1(configs: list[ScenarioConfig], out_dir: Path | str | None =
         lines = ["label,carleson_norm,operator_norm_sq,ratio"]
         lines += [f"{r['label']},{r['carleson_norm']!r},{r['operator_norm_sq']!r},{r['ratio']!r}" for r in rows]
         lines.append(f"norm_sq_slope,,,{slope!r}")
-        (out_dir / "theorem1.csv").write_text("\n".join(lines) + "\n")
+        _write(out_dir / "theorem1.csv", lambda p: p.write_text("\n".join(lines) + "\n"))
         _write_json(out_dir / "theorem1.json", table)
     return table
-
-
-def _blowup_pairs(half_width: float) -> np.ndarray:
-    x = np.geomspace(1e-4 * half_width, 0.5 * half_width, 24)
-    return np.stack([x.astype(complex), -x.astype(complex)], axis=1)
 
 
 def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) -> dict:
@@ -414,30 +430,23 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     constant) and the rectifiability pair (weighted energy, relative
     trace-length change under sample doubling).  The sector-map scenario
     carries a non-bilipschitz flag with the measured boundary blowup
-    exponent.  ``converged`` is the AND of the probe solves' flags; a
-    stalled Beltrami solve raises NonConvergenceError instead.
+    exponent.  ``converged`` is ``_Run.converged``, here the probe solves'
+    flags (the operator norm does not run); a stalled Beltrami solve
+    raises NonConvergenceError.
     """
     run = _Run(config)
     if out_path is not None:
-        out_path = Path(out_path)
-        _output_dir(out_path.parent)
-    probes, carleson = run.invertibility, run.carleson
-    length = run.trace.total_length()
-    fine = trace_curve(run.rho, run.grid.half_width, 2 * run.config.trace_samples)
+        _output_dir(Path(out_path).parent)
     summary = {
         **run.header("theorem2-summary"),
-        "carleson_norm": carleson.norm,
-        "c1_estimate": probes.probe_c1_estimate,
+        "carleson_norm": run.carleson.norm,
+        "c1_estimate": run.invertibility.probe_c1_estimate,
         "chord_arc_constant": run.chord_arc.constant,
         "energy": run.energy,
-        "trace_refinement_delta": abs(fine.total_length() - length) / length,
+        "trace_refinement_delta": run.refinement_delta,
         "non_bilipschitz": config.kind == "prop2",
-        "blowup_exponent": (
-            bilipschitz_profile(run.rho, _blowup_pairs(run.grid.half_width)).blowup_exponent
-            if config.kind == "prop2"
-            else None
-        ),
-        "converged": probes.converged,
+        "blowup_exponent": run.blowup_exponent if config.kind == "prop2" else None,
+        "converged": run.converged,
     }
     if out_path is not None:
         _write_json(out_path, summary)

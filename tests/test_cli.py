@@ -17,7 +17,8 @@ import pytest
 
 import qcplane.scenarios
 from qcplane import Grid, ba_extension, indicator_ball, prop2_map, validate_document, write_field
-from qcplane.cli import build_parser, main
+from qcplane.cli import _config_from, build_parser, main
+from qcplane.scenarios import ScenarioConfig
 
 
 def run_cli(argv):
@@ -37,10 +38,12 @@ class TestParser:
             build_parser().parse_args(["run", "--scenario", "disc"])
 
     def test_run_defaults(self):
+        # an option left out takes its ScenarioConfig default
         args = build_parser().parse_args(["run", "--scenario", "ball"])
-        assert args.grid_n == 256
-        assert args.c == 0.3
-        assert args.out is None
+        assert _config_from(args, kind=args.scenario) == ScenarioConfig(kind="ball")
+        args = build_parser().parse_args(["theorem1"])
+        members = [_config_from(args, kind="ball", c=c) for c in args.c]
+        assert members == [ScenarioConfig(kind="ball", c=c) for c in (0.2, 0.4, 0.6)]
 
 
 class TestRun:
@@ -284,20 +287,34 @@ class TestErrorPaths:
         for name in ("mu.bin", "report.json", "theorem2.json"):
             assert not (tmp_path / name).exists()
 
-    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("blocker", ["file", "under-file", "taken"])
     @pytest.mark.parametrize(
-        "argv", [["run", "--scenario", "ball"], ["theorem1"], ["theorem2", "--scenario", "ball"]], ids=lambda a: a[0]
+        "argv, artifacts",
+        [
+            (["run", "--scenario", "ball"], ["mu.bin", "trace.csv", "report.json"]),
+            (["theorem1"], ["theorem1.csv", "theorem1.json"]),
+            (["theorem2", "--scenario", "ball"], ["theorem2.json"]),
+        ],
+        ids=["run", "theorem1", "theorem2"],
     )
-    def test_unusable_out_exit_two(self, tmp_path, argv, below):
-        blocker = tmp_path / "a-file"
-        blocker.write_text("")
-        out_dir = blocker / "sub" if below else blocker
-        code, out, err = run_cli([*argv, "--grid-n", "64", "--out", str(out_dir)])
-        assert code == 2
-        assert out == ""
-        doc = json.loads(err.strip())
-        assert doc["error"] == "config"
-        assert str(out_dir) in doc["message"]
+    def test_unusable_out_exit_two(self, tmp_path, argv, artifacts, blocker):
+        blocked = tmp_path / "a-file"
+        blocked.write_text("")
+        if blocker == "taken":
+            # a directory takes the name of one bundle file, each in turn
+            unusable = [tmp_path / name / name for name in artifacts]
+            for path in unusable:
+                path.mkdir(parents=True)
+            out_dirs = [path.parent for path in unusable]
+        else:
+            unusable = out_dirs = [blocked / "sub" if blocker == "under-file" else blocked]
+        for out_dir, path in zip(out_dirs, unusable):
+            code, out, err = run_cli([*argv, "--grid-n", "32", "--out", str(out_dir)])
+            assert code == 2
+            assert out == ""
+            doc = json.loads(err.strip())
+            assert doc["error"] == "config"
+            assert str(path) in doc["message"]
 
     @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
     @pytest.mark.parametrize("command", ["run", "theorem2"])
@@ -481,31 +498,40 @@ STAGE_NAMES = (
 
 
 @pytest.mark.parametrize(
-    "argv, reached",
+    "argv, expected",
     [
-        pytest.param(["run", "--scenario", "ball"], set(STAGE_NAMES), id="run"),
+        # run: each stage once
+        pytest.param(["run", "--scenario", "ball"], dict.fromkeys(STAGE_NAMES, 1), id="run"),
+        # theorem2: trace_curve twice (the trace and its refinement), the rest once
         pytest.param(
             ["theorem2", "--scenario", "prop2"],
             {
-                "build_scenario",
-                "validate_document",
-                "carleson_density",
-                "carleson_norm",
-                "inverse_weighted_bound",
-                "trace_curve",
-                "chord_arc_constant",
-                "rectifiability_energy",
+                "build_scenario": 1,
+                "validate_document": 1,
+                "carleson_density": 1,
+                "carleson_norm": 1,
+                "inverse_weighted_bound": 1,
+                "trace_curve": 2,
+                "chord_arc_constant": 1,
+                "rectifiability_energy": 1,
             },
             id="theorem2",
         ),
+        # theorem1: three members and one ball shape, so one weighted-norm run
         pytest.param(
             ["theorem1"],
-            {"build_scenario", "validate_document", "carleson_density", "carleson_norm", "weighted_operator_norm"},
+            {
+                "build_scenario": 3,
+                "validate_document": 1,
+                "carleson_density": 3,
+                "carleson_norm": 3,
+                "weighted_operator_norm": 1,
+            },
             id="theorem1",
         ),
     ],
 )
-def test_entry_points_reach_stages_through_module_names(tmp_path, monkeypatch, argv, reached):
+def test_entry_points_reach_stages_through_module_names(tmp_path, monkeypatch, argv, expected):
     calls = dict.fromkeys(STAGE_NAMES, 0)
 
     def counting(name, fn):
@@ -518,7 +544,7 @@ def test_entry_points_reach_stages_through_module_names(tmp_path, monkeypatch, a
     for name in STAGE_NAMES:
         monkeypatch.setattr(qcplane.scenarios, name, counting(name, getattr(qcplane.scenarios, name)))
     assert run_cli([*argv, "--grid-n", "64", "--out", str(tmp_path)])[0] == 0
-    assert {name for name, count in calls.items() if count} == reached
+    assert {name: count for name, count in calls.items() if count} == expected
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

@@ -227,6 +227,12 @@ class TestBandlimitedNoise:
         out_of_band = np.max(np.abs(spec[mag > cutoff / grid256.spacing]))
         assert out_of_band <= 1e-12 * np.max(np.abs(spec))
 
+    def test_equal_calls_share_one_field(self, grid256):
+        # a probe family is drawn once per grid, not again on every call
+        a = q.bandlimited_noise(grid256, seed=5)
+        assert q.bandlimited_noise(q.Grid(grid256.half_width, grid256.n), seed=5) is a
+        assert q.bandlimited_noise(grid256, seed=6) is not a
+
     def test_cutoff_validation(self, grid256):
         with pytest.raises(ValueError):
             q.bandlimited_noise(grid256, seed=0, cutoff=0.6)
@@ -286,6 +292,16 @@ class TestFieldIO:
         else:
             assert f.support_radius == grid.spacing
         assert g.support_radius == f.support_radius
+
+    def test_bytes_on_disk(self, tmp_path):
+        # the header, then x-major interleaved little-endian re/im float64 pairs
+        grid = q.Grid(2.0, 16)
+        values = (np.arange(256.0) - 1j * np.arange(256.0) ** 2).reshape(16, 16)
+        values[0, 1] = complex(-0.0, 0.0)
+        path = tmp_path / "field.bin"
+        q.write_field(q.ComplexField(grid, values), path)
+        pairs = [struct.pack("<dd", z.real, z.imag) for z in values.ravel()]
+        assert path.read_bytes() == struct.pack("<dqd", 2.0, 16, grid.stagger) + b"".join(pairs)
 
     def test_support_radius_reconstruction(self, tmp_path, grid256):
         ball = q.indicator_ball(grid256, 2j, 1.0)
