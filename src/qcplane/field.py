@@ -303,16 +303,13 @@ def _outside_band(grid: Grid, cutoff: float) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=8)
 def bandlimited_noise(grid: Grid, seed: int, cutoff: float = 0.25) -> ComplexField:
     """Deterministic mean-zero complex noise with compact Fourier support.
 
     Gaussian coefficients are drawn per seed on the full frequency
     lattice, truncated to |xi| <= cutoff / h (so ``cutoff = 1/2`` fills
     the lattice to the Nyquist frequency), the zero mode is removed, and
-    the result is normalized to unit L^2 norm.  Equal calls share one
-    immutable field; the 8 kept (one default probe family) hold 8 * 16 n^2
-    bytes, 2 MiB at n = 128 and 32 MiB at n = 512.
+    the result is normalized to unit L^2 norm.
 
     Parameters
     ----------

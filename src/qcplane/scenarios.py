@@ -13,6 +13,7 @@ per-run record, ``_Run``, which writes each stage and ``converged`` once.
 from __future__ import annotations
 
 import cmath
+import errno
 import hashlib
 import json
 import os
@@ -200,12 +201,18 @@ def validate_document(document: dict) -> None:
         raise error
 
 
+# errors of an output path that cannot take a bundle; a failing device (ENOSPC, EIO) stays an OSError
+_PATH_ERRNOS = {errno.EISDIR, errno.ENOTDIR, errno.EEXIST, errno.EACCES, errno.EPERM, errno.EROFS, errno.ENAMETOOLONG}
+
+
 def _write(path: Path | str, write) -> Path:
     """Make one bundle directory or file by ``write(path)``; a path that cannot take it is a config error."""
     path = Path(path)
     try:
         write(path)
     except OSError as exc:
+        if exc.errno not in _PATH_ERRNOS:
+            raise
         raise ConfigError(f"unusable output path {path}: {exc}") from exc
     return path
 
@@ -298,11 +305,10 @@ class _Run:
     def energy(self) -> float:
         return rectifiability_energy(self.rho.dbar_field)
 
-    @property
-    def converged(self) -> bool:
-        """The AND of the flags of the iterative stages this run computed: operator, probes, solve."""
-        done = self.__dict__
-        records = (done.get("operator"), done.get("invertibility"), getattr(done.get("rho"), "report", None))
+    def converged(self, *stages: str) -> bool:
+        """The AND of the flags of the named stages, each computed if not yet run: ``operator``,
+        ``invertibility``, and ``rho``, whose flag is its solver's (a closed-form map has none)."""
+        records = [self.rho.report if stage == "rho" else getattr(self, stage) for stage in stages]
         return all(record.converged for record in records if record is not None)
 
 
@@ -310,10 +316,9 @@ def run_scenario(config: ScenarioConfig) -> dict:
     """Full diagnostic pipeline; writes report.json, trace.csv, mu.bin.
 
     ``operator`` and ``invertibility`` each record an iteration count, a
-    final residual and a flag; the top-level ``converged`` is
-    ``_Run.converged``, the AND of those flags and, when it ran, the
-    solver's.  Raises NonConvergenceError after writing a partial report
-    flagged ``converged: false`` if the solver stalls.
+    final residual and a flag; ``converged`` is ``_Run.converged`` of them
+    and of the map.  Raises NonConvergenceError after writing a partial
+    report flagged ``converged: false`` if the solver stalls.
     """
     run = _Run(config)
     out = _output_dir(config.out_dir or default_output_root())
@@ -339,7 +344,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         raise
     report["map_provenance"] = rho.provenance
     report["solver"] = rho.report.to_json_dict() if rho.report is not None else None
-    report["converged"] = run.converged
+    report["converged"] = run.converged("operator", "invertibility", "rho")
 
     _write(out / "trace.csv", run.trace.to_csv)
     report["chord_arc"] = run.chord_arc.to_json_dict()
@@ -430,9 +435,9 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     constant) and the rectifiability pair (weighted energy, relative
     trace-length change under sample doubling).  The sector-map scenario
     carries a non-bilipschitz flag with the measured boundary blowup
-    exponent.  ``converged`` is ``_Run.converged``, here the probe solves'
-    flags (the operator norm does not run); a stalled Beltrami solve
-    raises NonConvergenceError.
+    exponent.  ``converged`` is ``_Run.converged`` of the probes, the AND of
+    the probe solves' flags, as the operator norm does not run; a stalled
+    Beltrami solve raises NonConvergenceError.
     """
     run = _Run(config)
     if out_path is not None:
@@ -446,7 +451,7 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
         "trace_refinement_delta": run.refinement_delta,
         "non_bilipschitz": config.kind == "prop2",
         "blowup_exponent": run.blowup_exponent if config.kind == "prop2" else None,
-        "converged": run.converged,
+        "converged": run.converged("invertibility"),
     }
     if out_path is not None:
         _write_json(out_path, summary)

@@ -227,12 +227,6 @@ class TestBandlimitedNoise:
         out_of_band = np.max(np.abs(spec[mag > cutoff / grid256.spacing]))
         assert out_of_band <= 1e-12 * np.max(np.abs(spec))
 
-    def test_equal_calls_share_one_field(self, grid256):
-        # a probe family is drawn once per grid, not again on every call
-        a = q.bandlimited_noise(grid256, seed=5)
-        assert q.bandlimited_noise(q.Grid(grid256.half_width, grid256.n), seed=5) is a
-        assert q.bandlimited_noise(grid256, seed=6) is not a
-
     def test_cutoff_validation(self, grid256):
         with pytest.raises(ValueError):
             q.bandlimited_noise(grid256, seed=0, cutoff=0.6)

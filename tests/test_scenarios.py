@@ -1,11 +1,21 @@
 """Scenario entry points: the stages they share report the same numbers."""
 
+import dataclasses
+import errno
+
 import numpy as np
 import pytest
 
 import qcplane.scenarios
 from qcplane import Grid, carleson_density, carleson_norm, inverse_weighted_bound, weighted_operator_norm
-from qcplane.scenarios import ScenarioConfig, build_scenario, compare_theorem1, run_scenario, verify_theorem2
+from qcplane.scenarios import (
+    ConfigError,
+    ScenarioConfig,
+    build_scenario,
+    compare_theorem1,
+    run_scenario,
+    verify_theorem2,
+)
 
 
 def test_build_scenario_builds_the_ball_once(monkeypatch):
@@ -26,6 +36,33 @@ def test_build_scenario_builds_the_ball_once(monkeypatch):
         # the ball is mollified over radius/4
         bump = indicator_ball(Grid(config.grid_l, 32), config.center, radius, mollify_width=radius / 4)
         assert np.array_equal(mu.field.values, config.c * bump.values)
+
+
+def test_converged_reads_the_stages_it_names(monkeypatch):
+    # the flag of a stage not yet read is computed, not skipped
+    real = qcplane.scenarios.weighted_operator_norm
+    monkeypatch.setattr(
+        qcplane.scenarios,
+        "weighted_operator_norm",
+        lambda mu, **kwargs: dataclasses.replace(real(mu, **kwargs), converged=False),
+    )
+    run = qcplane.scenarios._Run(ScenarioConfig(kind="ball", grid_n=32))
+    assert run.converged("operator") is False
+    assert run.converged("invertibility", "rho") is True
+
+
+def test_write_names_a_bad_path_and_passes_device_errors(tmp_path):
+    (tmp_path / "mu.bin").mkdir()
+    with pytest.raises(ConfigError, match="mu.bin"):
+        qcplane.scenarios._write(tmp_path / "mu.bin", lambda path: path.write_bytes(b""))
+
+    def full(path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    # a failing device is not a config error
+    with pytest.raises(OSError) as info:
+        qcplane.scenarios._write(tmp_path / "trace.csv", full)
+    assert info.value.errno == errno.ENOSPC
 
 
 @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
