@@ -25,6 +25,7 @@ from .transforms import (
     cauchy_at_points,
     cauchy_line_derivative,
     cauchy_plane,
+    line_sample,
 )
 
 __all__ = [
@@ -428,10 +429,9 @@ def solve_inhomogeneous(
         )
     g = report.solution
     H = cauchy_plane(plan_for(grid), g)
-    # sample positions must follow the LineFunction convention, which is
-    # offset half a cell from the grid columns
-    xs = -grid.half_width + grid.spacing * np.arange(grid.n)
-    upper = xs + 1j * grid.stagger
-    boundary_vals = 0.5 * (cauchy_at_points(g, upper) + cauchy_at_points(g, np.conj(upper)))
-    boundary = LineFunction(grid.half_width, boundary_vals)
+    boundary = line_sample(
+        lambda x: 0.5 * (cauchy_at_points(g, x + 1j * grid.stagger) + cauchy_at_points(g, x - 1j * grid.stagger)),
+        grid.half_width,
+        grid.n,
+    )
     return H, boundary

@@ -222,8 +222,18 @@ def _write_json(path: Path | str, document: dict) -> None:
     _write(path, lambda p: p.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"))
 
 
-def _output_dir(path: Path | str) -> Path:
-    return _write(path, lambda p: p.mkdir(parents=True, exist_ok=True))
+def _not_a_directory(path: Path) -> None:
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
+def _output_dir(path: Path | str, *names: str) -> Path:
+    """Make the output directory; a bundle name in it taken by a directory
+    is the config error its write would raise, before any compute."""
+    out = _write(path, lambda p: p.mkdir(parents=True, exist_ok=True))
+    for name in names:
+        _write(out / name, _not_a_directory)
+    return out
 
 
 class _Run:
@@ -321,7 +331,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     report flagged ``converged: false`` if the solver stalls.
     """
     run = _Run(config)
-    out = _output_dir(config.out_dir or default_output_root())
+    out = _output_dir(config.out_dir or default_output_root(), "mu.bin", "trace.csv", "report.json")
     mu, grid = run.mu, run.grid
     report: dict = {
         **run.header("scenario-report"),
@@ -394,7 +404,7 @@ def compare_theorem1(configs: list[ScenarioConfig], out_dir: Path | str | None =
     if _fit_rank(sups) < 2:
         raise ConfigError(f"theorem1 family has one amplitude, sup|mu| = {sups[0]:g}; its slope is undefined")
     if out_dir is not None:
-        out_dir = _output_dir(out_dir)
+        out_dir = _output_dir(out_dir, "theorem1.csv", "theorem1.json")
     shape_runs: dict = {}
     norms_sq = []
     for i, run in enumerate(runs):
@@ -441,7 +451,7 @@ def verify_theorem2(config: ScenarioConfig, out_path: Path | str | None = None) 
     """
     run = _Run(config)
     if out_path is not None:
-        _output_dir(Path(out_path).parent)
+        _output_dir(Path(out_path).parent, Path(out_path).name)
     summary = {
         **run.header("theorem2-summary"),
         "carleson_norm": run.carleson.norm,

@@ -12,7 +12,7 @@ computes only the output box asked for.
 
 Line-side operators: the Cauchy integral of line data evaluated off the
 axis, Plemelj boundary values via the principal-value multiplier, and the
-oscillatory Fourier transform of the difference-quotient kernel
+closed-form Fourier transform of the difference-quotient kernel
 K(x) = 2 log|(1+x)/x|.
 """
 
@@ -653,80 +653,28 @@ def plemelj_boundary(f: LineFunction) -> tuple[LineFunction, LineFunction]:
     return f_plus, f_minus
 
 
-def _khat_base(u: float) -> complex:
-    """Fourier transform of K(x) = 2 log|(1+x)/x| at frequency u > 0.
-
-    Adaptive quadrature of the oscillatory integral on [-cut, cut],
-    cut = 40, split at the singular points -1 and 0, plus
-    sine/cosine-integral closed forms for the algebraic tails
-    K(x) = 2/x - 1/x^2 + O(x^-3).
-    """
-    # imported here: both modules are slow to load and only this
-    # transform needs them
-    from scipy.integrate import quad
-    from scipy.special import sici
-
-    omega = 2.0 * np.pi * u
-    cut = 40.0
-
-    def kernel(x):
-        # clamp keeps the quadrature nodes that land exactly on the
-        # integrable log singularities (x = 0, x = -1) finite
-        num = max(abs(1.0 + x), 1e-300)
-        den = max(abs(x), 1e-300)
-        return 2.0 * math.log(num / den)
-
-    total = 0.0 + 0.0j
-    pieces = ((-cut, -1.0), (-1.0, 0.0), (0.0, cut))
-    if omega * cut < 8.0:
-        # mild oscillation: plain adaptive quadrature is reliable
-        for a, b in pieces:
-            re = quad(lambda x: kernel(x) * np.cos(omega * x), a, b, limit=400)[0]
-            im = quad(lambda x: kernel(x) * np.sin(omega * x), a, b, limit=400)[0]
-            total += re - 1j * im
-    else:
-        for a, b in pieces:
-            re = quad(kernel, a, b, weight="cos", wvar=omega, limit=400)[0]
-            im = quad(kernel, a, b, weight="sin", wvar=omega, limit=400)[0]
-            total += re - 1j * im
-    si, ci = sici(omega * cut)
-    cos_int = -ci                      # int_cut^inf cos(omega x)/x dx
-    sin_int = 0.5 * np.pi - si         # int_cut^inf sin(omega x)/x dx
-    cos_int2 = np.cos(omega * cut) / cut - omega * sin_int
-    sin_int2 = np.sin(omega * cut) / cut + omega * cos_int
-    # positive tail: K ~ 2/x - 1/x^2; negative tail via x -> -x: K ~ -2/x - 1/x^2
-    pos = (2.0 * cos_int - cos_int2) - 1j * (2.0 * sin_int - sin_int2)
-    neg = (-2.0 * cos_int - cos_int2) + 1j * (-2.0 * sin_int - sin_int2)
-    return total + pos + neg
-
-
 def dq_kernel_transform(h_step: float, freqs: np.ndarray) -> np.ndarray:
-    """Sampled Fourier transform of K_h(x) = (1/h) K(x/h).
+    """Fourier transform of K_h(x) = (1/h) K(x/h), K(x) = 2 log|(1+x)/x|,
+    at the frequencies ``freqs``, as a complex array of their shape.
 
-    The dilation rule hat(K_h)(xi) = hat(K)(h xi) is applied after an
-    honest numerical transform of the base kernel, so the rule holds
-    by substitution rather than by assumption about the closed form.
+    The transform of log|x| is -1/(2|u|) at u != 0 (Gel'fand & Shilov,
+    *Generalized Functions* I), and the shift by 1 multiplies it by
+    e^{2 pi i u}, so hat K(u) = (1 - e^{2 pi i u})/|u|, evaluated here
+    in the cancellation-free form -2i sin(pi u) e^{i pi u}/|u| at
+    u = h_step * xi (the dilation rule hat(K_h)(xi) = hat(K)(h xi)).
 
-    Parameters
-    ----------
-    h_step : float
-        Positive difference-quotient step.
-    freqs : array_like
-        Nonzero frequencies (the transform has no limit at 0).
-
-    Returns
-    -------
-    ndarray of complex
+    Raises
+    ------
+    ValueError
+        If h_step is not positive, some h_step * xi is 0 (the transform
+        has no limit there), or h_step or some h_step * xi is not finite.
     """
     if h_step <= 0:
         raise ValueError("h_step must be positive")
-    freqs = np.asarray(freqs, dtype=float)
-    if np.any(freqs == 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = h_step * np.asarray(freqs, dtype=float)
+    if np.any(u == 0.0):
         raise ValueError("frequencies must be nonzero")
-    out = np.empty(freqs.shape, dtype=complex)
-    it = np.nditer(freqs, flags=["multi_index"])
-    for xi in it:
-        u = h_step * float(xi)
-        val = _khat_base(abs(u))
-        out[it.multi_index] = val if u > 0 else np.conj(val)
-    return out
+    if not (math.isfinite(h_step) and np.all(np.isfinite(u))):
+        raise ValueError("h_step and every h_step * freq must be finite")
+    return -2j * np.sin(np.pi * u) * np.exp(1j * np.pi * u) / np.abs(u)

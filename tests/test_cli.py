@@ -315,6 +315,9 @@ class TestErrorPaths:
             doc = json.loads(err.strip())
             assert doc["error"] == "config"
             assert str(path) in doc["message"]
+            if blocker == "taken":
+                # the taken name is found before any compute: no other bundle file is written
+                assert sorted(p.name for p in out_dir.iterdir()) == [path.name]
 
     @pytest.mark.parametrize("kind", ["ball", "prop2", "ba_extension"])
     @pytest.mark.parametrize("command", ["run", "theorem2"])
@@ -548,8 +551,8 @@ def test_entry_points_reach_stages_through_module_names(tmp_path, monkeypatch, a
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.interpolate and scipy.integrate load only where sampled boundary
-    # data and the difference-quotient kernel transform need them
+    # scipy.interpolate loads only where sampled boundary data needs it;
+    # no module of the package imports scipy.integrate
     probe = "import sys, qcplane; print(sorted(set(sys.modules) & {'scipy.interpolate', 'scipy.integrate'}))"
     src = str(Path(qcplane.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

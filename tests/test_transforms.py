@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 import qcplane as q
@@ -496,6 +497,10 @@ class TestDifferenceQuotientKernel:
             q.dq_kernel_transform(0.0, np.array([1.0]))
         with pytest.raises(ValueError):
             q.dq_kernel_transform(1.0, np.array([0.0, 1.0]))
+        # a non-finite step or h * xi, including one that overflows, has no transform
+        for h_step, xi in ((np.nan, 1.0), (1.0, np.nan), (1.0, np.inf), (np.inf, 1.0), (1e200, 1e200)):
+            with pytest.raises(ValueError, match="finite"):
+                q.dq_kernel_transform(h_step, np.array([xi]))
 
     def test_dilation_rule_exact(self):
         xi = np.linspace(-6.0, 6.0, 241)
@@ -509,6 +514,27 @@ class TestDifferenceQuotientKernel:
         plus = q.dq_kernel_transform(1.0, xi)
         minus = q.dq_kernel_transform(1.0, -xi)
         assert np.max(np.abs(minus - np.conj(plus))) <= 1e-10
+
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.75, 1.7, 4.2])
+    def test_matches_quadrature(self, u):
+        # independent of the closed form: QUADPACK on [-2, 2], split at the
+        # log singularities -1 and 0, and its Fourier-integral routine (QAWF)
+        # on the tails, with x -> -x folding the left tail onto [2, inf)
+        omega = 2.0 * np.pi * u
+
+        def kernel(x):
+            return 2.0 * np.log(np.abs((1.0 + x) / x))
+
+        total = 0.0j
+        for a, b in ((-2.0, -1.0), (-1.0, 0.0), (0.0, 2.0)):
+            re = quad(lambda x: kernel(x) * np.cos(omega * x), a, b)[0]
+            im = quad(lambda x: kernel(x) * np.sin(omega * x), a, b)[0]
+            total += re - 1j * im
+        for sign in (1.0, -1.0):
+            re = quad(lambda x: kernel(sign * x), 2.0, np.inf, weight="cos", wvar=omega)[0]
+            im = quad(lambda x: kernel(sign * x), 2.0, np.inf, weight="sin", wvar=omega)[0]
+            total += re - sign * 1j * im
+        assert abs(q.dq_kernel_transform(1.0, np.array([u]))[0] - total) <= 1e-9
 
     def test_shape_against_fitted_multiplier(self):
         xi = np.linspace(-6.0, 6.0, 241)
