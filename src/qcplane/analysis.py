@@ -138,7 +138,9 @@ def carleson_norm(nu: ComplexField) -> CarlesonReport:
     The centers are the grid columns on the real axis and the radii the
     dyadic chain 2h, 4h, ..., L.  Each sweep skips the grid rows below
     and above those on which nu has mass; the masses, the norm and the
-    witness are bit-identical to those of a sweep over every row.
+    witness are bit-identical to those of a sweep over every row.  The
+    witness is the first ball attaining the maximum, taking the smallest
+    radius and then the leftmost center.
 
     The finite family undershoots the continuum supremum by at most a
     bounded factor (radius dyadic gap), which downstream comparisons
@@ -154,24 +156,14 @@ def carleson_norm(nu: ComplexField) -> CarlesonReport:
         "radii": [float(r) for r in radii],
     }
 
-    best = -1.0
-    best_center = complex(centers[0])
-    best_radius = float(radii[0])
-    best_mass = 0.0
-    for r in radii:
-        masses = _masses(P, grid.x, grid.y, centers, float(r))
-        ratios = masses / r
-        k = int(np.argmax(ratios))
-        if ratios[k] > best:
-            best = float(ratios[k])
-            best_center = complex(centers[k])
-            best_radius = float(r)
-            best_mass = float(masses[k])
+    masses = np.stack([_masses(P, grid.x, grid.y, centers, float(r)) for r in radii])
+    ratios = masses / radii[:, None]
+    i, k = np.unravel_index(np.argmax(ratios), ratios.shape)
     return CarlesonReport(
-        norm=max(best, 0.0),
-        witness_center=best_center,
-        witness_radius=best_radius,
-        witness_mass=best_mass,
+        norm=float(ratios[i, k]),
+        witness_center=complex(centers[k]),
+        witness_radius=float(radii[i]),
+        witness_mass=float(masses[i, k]),
         family=family,
     )
 

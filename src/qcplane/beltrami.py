@@ -10,6 +10,7 @@ invertibility constant c1 measured over a probe family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -20,7 +21,6 @@ from .transforms import (
     LineFunction,
     SpectralPlan,
     _lanczos_top,
-    _LRUCache,
     _nonzero_box,
     cauchy_at_points,
     cauchy_line_derivative,
@@ -46,16 +46,14 @@ class NonConvergenceError(RuntimeError):
     """A solve did not reach its tolerance within the iteration budget."""
 
 
-_plans = _LRUCache(8)
-
-
+@lru_cache(maxsize=8)
 def plan_for(grid: Grid) -> SpectralPlan:
-    """Shared padding-2 spectral plan for a grid, from a least-recently-used
-    cache keyed on the grid, so equal grids share one plan with one set of
-    kernel and window caches.  Plans are safe to share across threads, so
-    caching is safe.  The periodic model is ``SpectralPlan(grid, 1)``.
+    """Shared padding-2 spectral plan for a grid, one of 8 in a thread-safe
+    ``functools.lru_cache`` keyed on the grid; equal plans share their
+    tables, kernels and windows however made (see :class:`SpectralPlan`).
+    The periodic model is ``SpectralPlan(grid, 1)``.
     """
-    return _plans.get(grid, lambda: SpectralPlan(grid))
+    return SpectralPlan(grid)
 
 
 class _MuS:

@@ -128,6 +128,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             f"grid spacing {grid.spacing:g} is too coarse for the selftest: it needs at most 1/8 "
             "(8 cells across the unit ball's radius)"
         )
+    # the ball image is compared with -1/z^2 on the ring 2 <= |z| <= 4,
+    # which lies in the grid square only when L >= 4
+    if grid.half_width < 4.0:
+        raise ConfigError(
+            f"grid half-width {grid.half_width:g} is too small for the selftest: it needs at least 4 "
+            "(the ball image is checked on the ring 2 <= |z| <= 4)"
+        )
     plan_exact = SpectralPlan(grid, padding_factor=1)
     checks: list[tuple[str, float, float]] = []
 

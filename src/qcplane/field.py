@@ -34,6 +34,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_half_width(half_width: float) -> None:
+    """Reject a half-width that is not finite and positive."""
+    if not (np.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
+
+
 class Grid:
     """Uniform staggered lattice on the square [-L, L]^2.
 
@@ -53,8 +59,7 @@ class Grid:
     """
 
     def __init__(self, half_width: float, n: int):
-        if not (np.isfinite(half_width) and half_width > 0):
-            raise ValueError(f"half_width must be finite and positive, got {half_width}")
+        _check_half_width(half_width)
         if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 16:
             raise ValueError(f"n must be a power of two >= 16, got {n}")
         self.half_width = float(half_width)

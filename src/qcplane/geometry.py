@@ -103,8 +103,10 @@ class CurveTrace:
         return np.diff(self.cum_length)
 
     def strided(self, max_points: int) -> "CurveTrace":
-        """Subsampled copy keeping at most max_points samples."""
-        step = max(1, int(np.ceil(self.size() / max_points)))
+        """Subsampled copy keeping at most max_points >= 2 samples."""
+        if max_points < 2:
+            raise ValueError(f"max_points must be at least 2, got {max_points}")
+        step = int(np.ceil(self.size() / max_points))
         return CurveTrace(self.params[::step], self.points[::step])
 
     def to_csv(self, path) -> None:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import dstebz, dstein
 
-from .field import ComplexField, Grid
+from .field import ComplexField, Grid, _check_half_width
 
 __all__ = [
     "SpectralPlan",
@@ -45,46 +45,53 @@ __all__ = [
 ]
 
 
-class _LRUCache:
-    """A bounded least-recently-used map, safe to share across threads."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key, build):
-        """The value stored under ``key``, stored from ``build()`` on a miss.
-
-        ``build`` runs outside the lock; if two threads miss at once, the
-        value stored first is the one both get.
-        """
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return self._entries[key]
-        value = build()
-        with self._lock:
-            value = self._entries.setdefault(key, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.size:
-                self._entries.popitem(last=False)
-        return value
-
-
 # Holds every (table, input box, output box) key of one pipeline run, so
-# repeated runs on one plan rebuild no window.  The default ball uses 8:
+# repeated runs on one grid rebuild no window.  The default ball uses 8:
 # one (S, B, B) for the Neumann steps on mu's box B (and the solve's
 # source, whose right-hand side is mu), one (S, box(Phi), B) for each of
 # the 5 distinct probe boxes, and the two steps of the weighted norm.
 _WINDOW_CACHE_SIZE = 16
 
 
+@lru_cache(maxsize=8)
+def _multipliers(grid: Grid, padding_factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of S, S*, T on the (padding_factor*n)^2 frequency lattice."""
+    freq = np.fft.fftfreq(padding_factor * grid.n, d=grid.spacing)
+    xi = freq[:, None] + 1j * freq[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_s = np.conj(xi) / xi
+        m_t = 1.0 / (1j * np.pi * xi)
+    m_s[0, 0] = 0.0
+    m_t[0, 0] = 0.0
+    tables = (m_s, np.conj(m_s), m_t)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=3 * 8)
+def _kernel(grid: Grid, padding_factor: int, which: int) -> np.ndarray:
+    """kappa = ifft2 of table ``which`` of :func:`_multipliers`, read-only."""
+    kernel = np.fft.ifft2(_multipliers(grid, padding_factor)[which])
+    kernel.setflags(write=False)
+    return kernel
+
+
+@lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _window(grid: Grid, padding_factor: int, which: int, in_r, in_c, out_r, out_c) -> np.ndarray:
+    """FFT of kappa at the offsets out - in, zero-padded to a fast size;
+    each box is a (start, stop) pair of ints."""
+    N = padding_factor * grid.n
+    r_idx = np.arange(out_r[0] - in_r[1] + 1, out_r[1] - in_r[0]) % N
+    c_idx = np.arange(out_c[0] - in_c[1] + 1, out_c[1] - in_c[0]) % N
+    shape = (scipy.fft.next_fast_len(r_idx.size), scipy.fft.next_fast_len(c_idx.size))
+    window = scipy.fft.fft2(_kernel(grid, padding_factor, which)[np.ix_(r_idx, c_idx)], s=shape)
+    window.setflags(write=False)
+    return window
+
+
 class SpectralPlan:
-    """Cached multiplier tables for S, S*, T on a padded frequency lattice.
+    """Multiplier tables for S, S*, T on a padded frequency lattice.
 
     Parameters
     ----------
@@ -114,15 +121,17 @@ class SpectralPlan:
     alias, the window repeats entries of kappa, and the result is the
     periodic product.
 
-    kappa is built on first use, once per table: 16 (factor*n)^2 bytes,
-    1 MiB at n = 128 and 16 MiB at n = 512 with the default factor.  The
-    window transforms live in a least-recently-used cache of
-    ``_WINDOW_CACHE_SIZE`` entries keyed on (table, I, O).  An entry
-    holds at most 16 next_fast_len(2n - 1)^2 bytes (1 MiB at n = 128,
-    16 MiB at n = 512), so the cache holds at most 16 MiB at n = 128 and
-    256 MiB at n = 512; the boxes of a compactly supported mu keep the
-    entries far smaller.  Both caches are locked and their arrays
-    read-only, so a plan is safe to share across threads.
+    The tables, kappa and the window transforms are ``functools.lru_cache``
+    entries keyed on values, (grid, factor[, table[, I, O]]), so equal
+    plans share them.  kappa is built once per (grid, factor, table):
+    16 (factor*n)^2 bytes, 1 MiB at n = 128 and 16 MiB at n = 512 with
+    the default factor.  At most ``_WINDOW_CACHE_SIZE`` windows are kept
+    in all, each at most 16 next_fast_len(2n - 1)^2 bytes (1 MiB at
+    n = 128, 16 MiB at n = 512); the boxes of a compactly supported mu
+    keep them far smaller.  ``apply`` raises ``ValueError`` for a table
+    that is not one of the plan's own three.  The cached arrays are
+    read-only and ``lru_cache`` is thread-safe, so a plan is safe to
+    share across threads.
 
     A block-form apply takes a stack of p blocks at one input box,
     shape (p, |I rows|, |I cols|), and returns the p output blocks on O:
@@ -147,23 +156,7 @@ class SpectralPlan:
         self.grid = grid
         self.padding_factor = int(padding_factor)
         self.n_padded = self.padding_factor * grid.n
-        freq = np.fft.fftfreq(self.n_padded, d=grid.spacing)
-        xi = freq[:, None] + 1j * freq[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m_s = np.conj(xi) / xi
-            m_t = 1.0 / (1j * np.pi * xi)
-        m_s[0, 0] = 0.0
-        m_t[0, 0] = 0.0
-        self.multiplier_s = m_s
-        self.multiplier_s_star = np.conj(m_s)
-        self.multiplier_t = m_t
-        for table in (self.multiplier_s, self.multiplier_s_star, self.multiplier_t):
-            table.setflags(write=False)
-        # kappa for each of the three tables, and the window transforms.
-        # Both caches key a table by its id; each entry holds the table,
-        # so the id cannot be reused while the entry lives.
-        self._kernels = _LRUCache(3)
-        self._windows = _LRUCache(_WINDOW_CACHE_SIZE)
+        self.multiplier_s, self.multiplier_s_star, self.multiplier_t = _multipliers(grid, self.padding_factor)
         # each thread's FFT workspace, grown to the largest window served
         self._local = threading.local()
 
@@ -194,6 +187,11 @@ class SpectralPlan:
         of blocks at that box, shape (p, |at rows|, |at cols|), gives the
         stack of their output blocks, shape (p, |rows|, |cols|).
         """
+        for which, own in enumerate((self.multiplier_s, self.multiplier_s_star, self.multiplier_t)):
+            if table is own:
+                break
+        else:
+            raise ValueError("table must be one of the plan's multiplier tables")
         n = self.grid.n
         out_r, out_c = _contiguous(n, rows, "rows"), _contiguous(n, cols, "cols")
         if at is not None:
@@ -201,22 +199,22 @@ class SpectralPlan:
             shape = (in_r.stop - in_r.start, in_c.stop - in_c.start)
             if values.ndim not in (2, 3) or values.shape[-2:] != shape:
                 raise ValueError(f"block of shape {values.shape} does not fill the box {at}")
-            return self._apply_block(values, table, in_r, in_c, out_r, out_c)
+            return self._apply_block(values, which, in_r, in_c, out_r, out_c)
         in_r, in_c = _nonzero_box(values)
         out = np.zeros((n, n), dtype=complex)
-        out[out_r, out_c] = self._apply_block(values[in_r, in_c], table, in_r, in_c, out_r, out_c)
+        out[out_r, out_c] = self._apply_block(values[in_r, in_c], which, in_r, in_c, out_r, out_c)
         return out
 
-    def _apply_block(self, block, table, in_r, in_c, out_r, out_c) -> np.ndarray:
+    def _apply_block(self, block, which, in_r, in_c, out_r, out_c) -> np.ndarray:
         """The output block on out_r x out_c of the input block at in_r x in_c,
         for each block of a (p, rows, cols) stack; a 2-D block is a stack of one."""
         if block.ndim == 2:
-            return self._apply_block(block[None], table, in_r, in_c, out_r, out_c)[0]
+            return self._apply_block(block[None], which, in_r, in_c, out_r, out_c)[0]
         p = block.shape[0]
         box = (in_r, in_c, out_r, out_c)
         if p == 0 or any(s.start == s.stop for s in box):
             return np.zeros((p, out_r.stop - out_r.start, out_c.stop - out_c.start), dtype=complex)
-        window = self._window(table, *box)
+        window = _window(self.grid, self.padding_factor, which, *((s.start, s.stop) for s in box))
         m_rows, m_cols = window.shape
         size = p * m_rows * m_cols
         buffer = getattr(self._local, "buffer", None)
@@ -239,22 +237,6 @@ class SpectralPlan:
         band = ws[:, :, c0 : c0 + out_c.stop - out_c.start]
         _transform_in_place(scipy.fft.ifft, band, axis=1)
         return band[:, r0 : r0 + out_r.stop - out_r.start].copy()
-
-    def _window(self, table, in_r, in_c, out_r, out_c) -> np.ndarray:
-        """FFT of kappa at the offsets out - in, zero-padded to a fast size."""
-
-        def build():
-            kernel = self._kernels.get(id(table), lambda: (table, np.fft.ifft2(table)))[1]
-            N = self.n_padded
-            r_idx = np.arange(out_r.start - in_r.stop + 1, out_r.stop - in_r.start) % N
-            c_idx = np.arange(out_c.start - in_c.stop + 1, out_c.stop - in_c.start) % N
-            shape = (scipy.fft.next_fast_len(r_idx.size), scipy.fft.next_fast_len(c_idx.size))
-            window = scipy.fft.fft2(kernel[np.ix_(r_idx, c_idx)], s=shape)
-            window.setflags(write=False)
-            return table, window
-
-        key = (id(table), *((s.start, s.stop) for s in (in_r, in_c, out_r, out_c)))
-        return self._windows.get(key, build)[1]
 
 
 def _transform_in_place(transform, view: np.ndarray, axis: int) -> None:
@@ -557,18 +539,17 @@ class LineFunction:
     Parameters
     ----------
     half_width : float
-        X > 0.
+        Finite X > 0.
     values : ndarray, shape (m,)
     """
 
     def __init__(self, half_width: float, values: np.ndarray):
+        _check_half_width(half_width)
         values = np.asarray(values, dtype=complex)
         if values.ndim != 1 or values.size < 16:
             raise ValueError("values must be a 1-D array with at least 16 samples")
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("line values must be finite")
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
         self.half_width = float(half_width)
         self.values = values.copy()
         self.values.setflags(write=False)
@@ -581,6 +562,7 @@ class LineFunction:
 
 def line_sample(func, half_width: float, samples: int) -> LineFunction:
     """Sample a callable on the uniform line grid."""
+    _check_half_width(half_width)
     x = -half_width + (2.0 * half_width / samples) * np.arange(samples)
     return LineFunction(half_width, np.asarray(func(x), dtype=complex))
 

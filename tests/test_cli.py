@@ -433,6 +433,16 @@ class TestSelftest:
         assert doc["error"] == "config"
         assert "too coarse" in doc["message"]
 
+    @pytest.mark.parametrize("n, half_width", [(16, "0.5"), (16, "1"), (128, "2")])
+    def test_half_width_below_four_exit_two(self, n, half_width):
+        # the ball-image ring 2 <= |z| <= 4 leaves the grid square
+        code, out, err = run_cli(["transform-selftest", "--grid-n", str(n), "--grid-l", half_width])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err.strip())
+        assert doc["error"] == "config"
+        assert "half-width" in doc["message"]
+
     def test_passes_at_spacing_one_eighth(self):
         code, out, _ = run_cli(["transform-selftest", "--grid-n", "64", "--grid-l", "4"])
         assert code == 0

@@ -124,6 +124,11 @@ class TestCurveTrace:
         assert small.points[0] == tr.points[0]
         assert small.points[-1] == tr.points[-1]
 
+    @pytest.mark.parametrize("max_points", [1, 0, -5])
+    def test_strided_needs_two_points(self, max_points):
+        with pytest.raises(ValueError, match="max_points"):
+            sin_trace(128).strided(max_points)
+
     def test_csv_export(self, tmp_path):
         tr = sin_trace(128)
         path = tmp_path / "trace.csv"

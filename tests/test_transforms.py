@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 import qcplane as q
 from conftest import half_widths
 from qcplane import transforms
-from qcplane.transforms import _WINDOW_CACHE_SIZE, _lanczos_top, _ritz_top
+from qcplane.transforms import _WINDOW_CACHE_SIZE, _lanczos_top, _ritz_top, _window
 
 TABLES = ("multiplier_s", "multiplier_s_star", "multiplier_t")
 
@@ -206,11 +206,11 @@ class TestPaddedApply:
         boxes = [((k, k + 2), (0, 32)) for k in range(size + 5)]
         first = [plan.apply(boxed_values(np.random.default_rng(k), 32, *box), plan.multiplier_s)
                  for k, box in enumerate(boxes)]
-        assert len(plan._windows) == size
+        assert _window.cache_info().currsize == size
         # evicted windows are rebuilt to the same values
         again = plan.apply(boxed_values(np.random.default_rng(0), 32, *boxes[0]), plan.multiplier_s)
         assert np.array_equal(again, first[0])
-        assert len(plan._windows) == size
+        assert _window.cache_info().currsize == size
 
     def test_threads_reproduce_serial_results(self):
         # large enough that the FFTs, which release the GIL, overlap; more
@@ -250,7 +250,22 @@ class TestPaddedApply:
         assert not any(t.is_alive() for t in threads)
         for k in range(workers):
             assert all(np.array_equal(r, s) for r, s in zip(results[k], serial))
-        assert len(plan._windows) == _WINDOW_CACHE_SIZE
+        assert _window.cache_info().currsize == _WINDOW_CACHE_SIZE
+
+    def test_equal_plans_share_one_window(self):
+        first, second = q.SpectralPlan(self.grid), q.SpectralPlan(self.grid)
+        values = boxed_values(np.random.default_rng(3), 32, (5, 11), (7, 19))
+        want = first.apply(values, first.multiplier_s, rows=slice(2, 30))
+        before = _window.cache_info()
+        got = second.apply(values, second.multiplier_s, rows=slice(2, 30))
+        after = _window.cache_info()
+        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+        assert np.array_equal(got, want)
+
+    def test_rejects_a_table_not_the_plans(self):
+        plan = q.plan_for(self.grid)
+        with pytest.raises(ValueError, match="table"):
+            plan.apply(np.ones((32, 32)), np.ones_like(plan.multiplier_s))
 
     def test_plan_for_key_is_normalised(self):
         # equal grids share one padding-2 plan
@@ -441,6 +456,15 @@ class TestLineFunction:
             q.LineFunction(8.0, np.zeros(8, complex))  # too few samples
         with pytest.raises(ValueError):
             q.LineFunction(-1.0, np.zeros(32, complex))
+
+    @pytest.mark.parametrize("half_width", [np.nan, np.inf, 0.0, -1.0])
+    def test_half_width_must_be_finite_and_positive(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            q.LineFunction(half_width, np.ones(16))
+
+    def test_line_sample_rejects_nan_half_width(self):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            q.line_sample(np.ones_like, np.nan, 32)
 
 
 class TestLineCauchy:
