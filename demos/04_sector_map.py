@@ -46,6 +46,6 @@ print(f"blowup exponent {profile.blowup_exponent:.5f} (1/K - 1 = {1 / K - 1:.5f}
       f"contraction sharpens without bound approaching 0")
 
 # --- the curve Cauchy operator stays bounded anyway -------------------
-est = q.curve_cauchy_operator(q.trace_curve(rho, 8.0, 1024))
+est = q.curve_cauchy_operator(q.trace_curve(rho, 8.0, 1024)).weighted_norm_estimate
 print(f"curve Cauchy operator norm on the image: {est:.6f} "
       f"(0.5 on the straight line)")

@@ -32,11 +32,11 @@ print(f"extension at off-line points: max dev {np.max(np.abs(ext - closed)):.2e}
 # --- curve Cauchy operator norms --------------------------------------
 xs = np.linspace(-20.0, 20.0, 2048)
 straight = q.CurveTrace(xs, xs.astype(complex))
-print(f"curve Cauchy norm, straight line: {q.curve_cauchy_operator(straight):.6f}")
+print(f"curve Cauchy norm, straight line: {q.curve_cauchy_operator(straight).weighted_norm_estimate:.6f}")
 
 t = np.linspace(-2 * np.pi, 2 * np.pi, 1024)
 wavy = q.CurveTrace(t, t + 0.3j * np.sin(t))
-print(f"curve Cauchy norm, wavy graph:    {q.curve_cauchy_operator(wavy):.6f}")
+print(f"curve Cauchy norm, wavy graph:    {q.curve_cauchy_operator(wavy).weighted_norm_estimate:.6f}")
 print(f"chord-arc constant of the graph:  {q.chord_arc_constant(wavy).constant:.6f}")
 print(f"regularity (max mass/radius):     {q.regularity_check(wavy):.6f} "
       f"(2.0 for a straight line)")

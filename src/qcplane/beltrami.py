@@ -18,6 +18,7 @@ import scipy.fft
 from .field import BeltramiCoefficient, ComplexField, Grid, _root_sum_sq, bandlimited_noise, indicator_ball, norm
 from .geometry import MapEvaluator
 from .transforms import (
+    LanczosRecord,
     LineFunction,
     SpectralPlan,
     _lanczos_top,
@@ -131,17 +132,6 @@ class SolveReport:
 
 
 @dataclass
-class LanczosRecord:
-    """The weighted norm of mu S and the Lanczos run that measured it."""
-
-    weighted_norm_estimate: float
-    iteration_count: int
-    residual: float
-    converged: bool
-    rayleigh_history: list[float]
-
-
-@dataclass
 class ProbeRecord:
     """The probe estimate of c1 and the Neumann solves behind it."""
 
@@ -204,7 +194,7 @@ def _neumann_stack(
     members, and larger families run in chunks, in order.  The sources
     mu S Phi are applied one by one, from each Phi's own box.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -286,12 +276,11 @@ def weighted_operator_norm(
 
     The adjoint in the weighted inner product is
     A* g = |y| S*(conj(mu) g / |y|), so A*A is self-adjoint there.  The
-    top Ritz values theta_k of A*A are recorded; they are nondecreasing
-    by interlacing.  ``tol`` bounds the relative Ritz residual
-    ||A*A y - theta y||_w / theta; with ``tol = 0`` exactly ``max_iter``
-    steps run, which makes scaling comparisons deterministic.  The
-    iteration holds three n x n vectors and starts from complex Gaussian
-    noise drawn with ``seed``.
+    result is the record of :func:`qcplane.transforms._lanczos_top`, with
+    its ``tol`` and ``max_iter``; ``tol = 0`` runs exactly ``max_iter``
+    steps, which makes scaling comparisons deterministic.  The iteration
+    holds three n x n vectors and starts from complex Gaussian noise
+    drawn with ``seed``.
 
     Lanczos runs on x = v / sqrt|y|, in which the weighted inner product
     is the plain one up to the cell area, a constant that normalisation
@@ -301,27 +290,12 @@ def weighted_operator_norm(
     grid, with |mu|^2/|y| precomputed on B.  The tridiagonal matrices,
     hence the Ritz values and step counts, are those of the iteration in
     v up to rounding; the seeded noise is the start vector v.
-
-    Returns
-    -------
-    LanczosRecord
-        weighted_norm_estimate = sqrt(top Ritz value),
-        rayleigh_history = the Ritz values, iteration_count = Lanczos
-        steps, residual = the last relative Ritz residual.  A zero mu
-        stops at step 1 with theta = 0 and residual 0.
     """
     n = mu.grid.n
     op = _MuS(mu)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    history, residual = _lanczos_top(op.gram, np.vdot, v / op.sqrt_y, tol, max_iter)
-    return LanczosRecord(
-        weighted_norm_estimate=float(np.sqrt(history[-1])),
-        iteration_count=len(history),
-        residual=residual,
-        converged=bool(tol <= 0 or residual <= tol),
-        rayleigh_history=history,
-    )
+    return _lanczos_top(op.gram, np.vdot, v / op.sqrt_y, tol, max_iter)
 
 
 def default_probes(grid: Grid) -> list[ComplexField]:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .field import BeltramiCoefficient, ComplexField, Grid
-from .transforms import _lanczos_top, _row_blocks
+from .transforms import LanczosRecord, _lanczos_top, _row_blocks
 
 __all__ = [
     "MapEvaluator",
@@ -244,7 +244,7 @@ def _node_weights(trace: CurveTrace) -> np.ndarray:
     return ds
 
 
-def curve_cauchy_operator(trace: CurveTrace, tol: float = 1e-4, max_iter: int = 300) -> float:
+def curve_cauchy_operator(trace: CurveTrace, tol: float = 1e-4, max_iter: int = 300) -> LanczosRecord:
     """Operator-norm estimate of the PV Cauchy integral on the trace.
 
     The matrix M_ij = (1/2 pi i) ds_j/(gamma_j - gamma_i), i != j, acts
@@ -253,9 +253,10 @@ def curve_cauchy_operator(trace: CurveTrace, tol: float = 1e-4, max_iter: int = 
 
         A_ij = (1/2 pi i) sqrt(ds_i ds_j)/(gamma_j - gamma_i),  A_ii = 0,
 
-    whose top singular value is estimated by Lanczos iteration on A*A,
-    from a start vector drawn with seed 0, until the relative Ritz residual
-    ||A*A y - theta y|| / theta is at most ``tol``.
+    whose top singular value, the norm on the arclength-weighted l^2, is
+    the ``weighted_norm_estimate`` of the returned record of Lanczos
+    iteration on A*A (:func:`qcplane.transforms._lanczos_top`, with its
+    ``tol`` and ``max_iter``) from a start vector drawn with seed 0.
 
     A is built in place once per call and reused by every matvec: one
     dense complex m x m array, 16 m^2 bytes (4 MiB at 512 points,
@@ -283,10 +284,7 @@ def curve_cauchy_operator(trace: CurveTrace, tol: float = 1e-4, max_iter: int = 
     kern *= sqrt_ds[None, :]
     rng = np.random.default_rng(0)
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    history, _ = _lanczos_top(
-        lambda v: -np.conj(kern @ np.conj(kern @ v)), np.vdot, v, tol, max_iter
-    )
-    return float(np.sqrt(history[-1]))
+    return _lanczos_top(lambda v: -np.conj(kern @ np.conj(kern @ v)), np.vdot, v, tol, max_iter)
 
 
 def regularity_check(trace: CurveTrace) -> float:

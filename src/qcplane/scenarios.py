@@ -295,7 +295,7 @@ class _Run:
         return regularity_check(self.trace)
 
     @cached_property
-    def curve_operator_norm(self) -> float:
+    def curve_operator(self):
         return curve_cauchy_operator(self.trace.strided(2048))
 
     @cached_property
@@ -360,7 +360,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     report["chord_arc"] = run.chord_arc.to_json_dict()
     report["regularity"] = run.regularity
     report["energy"] = run.energy
-    report["curve_operator_norm"] = run.curve_operator_norm
+    report["curve_operator_norm"] = run.curve_operator.weighted_norm_estimate
     _write_json(out / "report.json", report)
     return report
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -294,9 +295,20 @@ def _ritz_top(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     return float(top[0]), float(vec[-1, 0])
 
 
-def _lanczos_top(
-    apply, inner, start: np.ndarray, tol: float, max_iter: int
-) -> tuple[list[float], float]:
+@dataclass
+class LanczosRecord:
+    """A top singular value sqrt(theta) and the Lanczos run on A*A behind it:
+    the step count, the last relative Ritz residual, theta after each step
+    (nondecreasing by interlacing), and whether the run converged."""
+
+    weighted_norm_estimate: float
+    iteration_count: int
+    residual: float
+    converged: bool
+    rayleigh_history: list[float]
+
+
+def _lanczos_top(apply, inner, start: np.ndarray, tol: float, max_iter: int) -> LanczosRecord:
     """Top eigenvalue of a self-adjoint positive operator by Lanczos (1950).
 
     ``apply(v)`` returns the operator's image of ``v`` (A*A v, when the
@@ -315,22 +327,25 @@ def _lanczos_top(
     ``scipy.linalg.eigh_tridiagonal(select="i")``, and that call's checks
     are kept: a non-finite alpha or beta raises ``ValueError``, a nonzero
     LAPACK ``info`` raises ``LinAlgError``, and T_1 gives (alpha_1, 1).
-    A ``max_iter`` below 1 or a start vector of zero or non-finite norm
-    raises ``ValueError`` before the first step.  The iteration stops
-    once the relative Ritz residual beta_k |s_k[-1]| / theta_k, which equals
-    ||A*A y - theta_k y|| / theta_k for the Ritz vector y, is at most
-    ``tol``.  With ``tol = 0`` it runs exactly ``max_iter`` steps unless
-    beta_k = 0 (an exact invariant subspace) ends it earlier.
+    A ``max_iter`` below 1, a negative or NaN ``tol``, or a start vector
+    of zero or non-finite norm raises ``ValueError`` before the first
+    step.  The iteration stops once the relative Ritz residual
+    beta_k |s_k[-1]| / theta_k, which equals ||A*A y - theta_k y|| / theta_k
+    for the Ritz vector y, is at most ``tol``.  With ``tol = 0`` it runs
+    exactly ``max_iter`` steps unless beta_k = 0 (an exact invariant
+    subspace) ends it earlier.
 
     Returns
     -------
-    (history, residual) : (list[float], float)
-        theta_k after each step, nondecreasing by interlacing:
-        ``history[-1]`` is the estimate and ``len(history)`` the step
-        count.  ``residual`` is the relative Ritz residual of the last step.
+    LanczosRecord
+        Of the last step; ``converged`` is true when ``tol = 0`` (the
+        fixed budget ran) or ``residual <= tol``.  A zero operator stops
+        at step 1 with theta = 0 and residual 0.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     norm_sq = inner(start, start).real
     if not (np.isfinite(norm_sq) and norm_sq > 0.0):
         raise ValueError("Lanczos start vector must have a finite nonzero norm")
@@ -364,7 +379,13 @@ def _lanczos_top(
         # complex division loop or a new array
         w *= 1.0 / beta
         v_prev, v = v, w
-    return history, float(residual)
+    return LanczosRecord(
+        weighted_norm_estimate=float(np.sqrt(history[-1])),
+        iteration_count=len(history),
+        residual=residual,
+        converged=bool(tol == 0 or residual <= tol),
+        rayleigh_history=history,
+    )
 
 
 def _check_plan(plan: SpectralPlan, f: ComplexField) -> None:

@@ -265,11 +265,11 @@ def test_criterion_09_sector_map(sector_map):
 
 def test_criterion_10_curve_operator(ball_map, sector_map):
     xs = np.linspace(-8.0, 8.0, 4096)
-    line_est = q.curve_cauchy_operator(q.CurveTrace(xs, xs.astype(complex)))
+    line_est = q.curve_cauchy_operator(q.CurveTrace(xs, xs.astype(complex))).weighted_norm_estimate
     stability = {}
     for label, rho in (("ball", ball_map), ("sector", sector_map[0])):
-        coarse = q.curve_cauchy_operator(q.trace_curve(rho, 8.0, 1024))
-        fine = q.curve_cauchy_operator(q.trace_curve(rho, 8.0, 2048))
+        coarse = q.curve_cauchy_operator(q.trace_curve(rho, 8.0, 1024)).weighted_norm_estimate
+        fine = q.curve_cauchy_operator(q.trace_curve(rho, 8.0, 2048)).weighted_norm_estimate
         stability[label] = abs(fine / coarse - 1.0)
     ok = abs(line_est - 0.5) <= 0.025 and all(v <= 0.10 for v in stability.values())
     _verdict(

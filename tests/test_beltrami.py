@@ -13,7 +13,7 @@ from qcplane.beltrami import _neumann_stack
 from qcplane.field import _root_sum_sq
 from qcplane.transforms import _lanczos_top
 
-from conftest import cinf_bump, half_widths
+from conftest import cinf_bump, dense_weighted_mu_s, half_widths
 
 
 def windowed_noise(grid, ball, seed):
@@ -371,17 +371,7 @@ class TestWeightedOperatorNorm:
         mu = q.BeltramiCoefficient(ball.with_values(0.5 * ball.values))
         stats = q.weighted_operator_norm(mu)
         assert stats.converged
-        # B = W^1/2 mu S W^-1/2 with W = 1/|y| is A in orthonormal
-        # coordinates; built column by column from the padded apply
-        plan = q.plan_for(grid)
-        sqrt_w = np.broadcast_to(1.0 / np.sqrt(np.abs(grid.y))[None, :], (32, 32))
-        dense = np.empty((32 * 32, 32 * 32), dtype=complex)
-        unit = np.zeros((32, 32), dtype=complex)
-        for j in range(32 * 32):
-            unit.flat[j] = 1.0 / sqrt_w.flat[j]
-            dense[:, j] = (sqrt_w * mu.field.values * plan.apply(unit, plan.multiplier_s)).ravel()
-            unit.flat[j] = 0.0
-        ref = np.linalg.norm(dense, 2)
+        ref = np.linalg.norm(dense_weighted_mu_s(mu), 2)
         assert abs(stats.weighted_norm_estimate / ref - 1.0) <= 1e-9
 
     def test_estimate_independent_of_seed(self, mu_half):
@@ -445,7 +435,7 @@ class TestWeightedOperatorNorm:
         rng = np.random.default_rng(seed)
         start = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         stats = q.weighted_operator_norm(mu, seed=seed)
-        history, _ = _lanczos_top(apply, inner, start, 1e-6, 80)
+        history = _lanczos_top(apply, inner, start, 1e-6, 80).rayleigh_history
         assert stats.iteration_count == len(history)
         rel = np.abs(np.array(stats.rayleigh_history) / np.array(history) - 1.0)
         assert rel.max() <= 1e-12
@@ -514,6 +504,34 @@ class TestInverseWeightedBound:
             q.inverse_weighted_bound(mu_half, probes)
 
 
+class TestDenseOracle:
+    """Each iterative constant of a scenario kind at n = 32 against the
+    dense M = |y|^-1/2 mu S |y|^1/2 (``conftest.dense_scenario``)."""
+
+    def test_weighted_norm(self, dense_scenario):
+        mu, dense = dense_scenario
+        est = q.weighted_operator_norm(mu).weighted_norm_estimate
+        assert abs(est / np.linalg.norm(dense, 2) - 1.0) <= 1e-10
+
+    def test_solve_beltrami(self, dense_scenario):
+        # (I - mu S) h = mu is (I - M) x = |y|^-1/2 mu with h = |y|^1/2 x.
+        # The Neumann stop, step <= tol ||mu||, bounds the error of h by
+        # tol ||mu|| / (1 - sup|mu|), since ||S||_2 <= 1.
+        mu, dense = dense_scenario
+        sqrt_y = np.tile(np.sqrt(np.abs(mu.grid.y)), mu.grid.n)
+        rhs = mu.field.values.ravel()
+        h = sqrt_y * np.linalg.solve(np.eye(rhs.size) - dense, rhs / sqrt_y)
+        solved = q.solve_beltrami(mu, tol=1e-10).dbar_field.values.ravel()
+        bound = 1e-10 / (1.0 - mu.sup_bound) * np.linalg.norm(rhs)
+        assert np.linalg.norm(solved - h) <= bound
+
+    def test_probe_ratios_within_dense_c1(self, dense_scenario):
+        # a probe ratio ||h||_w^2 / ||Phi||_w^2 lower-bounds the exact c1
+        mu, dense = dense_scenario
+        c1 = 1.0 / np.linalg.svd(np.eye(dense.shape[0]) - dense, compute_uv=False)[-1] ** 2
+        assert max(q.inverse_weighted_bound(mu).probe_ratios) <= c1
+
+
 class TestSolveInhomogeneous:
     def test_requires_fine_line_sampling(self, grid256, mu_half):
         coarse = q.line_sample(lambda x: np.exp(-x * x), 16.0, 256)
@@ -572,15 +590,15 @@ def _small_mu():
 
 
 ITERATIONS = {
-    "neumann_solve": lambda mu, k: q.neumann_solve(mu, mu.field, max_iter=k),
-    "solve_beltrami": lambda mu, k: q.solve_beltrami(mu, max_iter=k),
-    "weighted_operator_norm": lambda mu, k: q.weighted_operator_norm(mu, max_iter=k),
-    "inverse_weighted_bound": lambda mu, k: q.inverse_weighted_bound(mu, max_iter=k),
-    "solve_inhomogeneous": lambda mu, k: q.solve_inhomogeneous(
-        mu, q.line_sample(lambda x: cinf_bump(x / 2.0), 4.0, 128), max_iter=k
+    "neumann_solve": lambda mu, **kw: q.neumann_solve(mu, mu.field, **kw),
+    "solve_beltrami": lambda mu, **kw: q.solve_beltrami(mu, **kw),
+    "weighted_operator_norm": lambda mu, **kw: q.weighted_operator_norm(mu, **kw),
+    "inverse_weighted_bound": lambda mu, **kw: q.inverse_weighted_bound(mu, **kw),
+    "solve_inhomogeneous": lambda mu, **kw: q.solve_inhomogeneous(
+        mu, q.line_sample(lambda x: cinf_bump(x / 2.0), 4.0, 128), **kw
     ),
-    "curve_cauchy_operator": lambda mu, k: q.curve_cauchy_operator(
-        q.CurveTrace(np.linspace(-4.0, 4.0, 64), np.linspace(-4.0, 4.0, 64) + 0j), max_iter=k
+    "curve_cauchy_operator": lambda mu, **kw: q.curve_cauchy_operator(
+        q.CurveTrace(np.linspace(-4.0, 4.0, 64), np.linspace(-4.0, 4.0, 64) + 0j), **kw
     ),
 }
 
@@ -591,4 +609,15 @@ def test_iteration_budget_below_one_rejected(entry, max_iter):
     mu = _small_mu()
     for coefficient in (mu, mu.scaled(0.0)):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            ITERATIONS[entry](coefficient, max_iter)
+            ITERATIONS[entry](coefficient, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("entry", sorted(ITERATIONS))
+def test_tolerance_rejected(entry, tol):
+    # NaN fails every comparison, so only a check written as `not tol > 0`
+    # (or `>= 0`) rejects it
+    mu = _small_mu()
+    for coefficient in (mu, mu.scaled(0.0)):
+        with pytest.raises(ValueError, match="tol must be"):
+            ITERATIONS[entry](coefficient, tol=tol)

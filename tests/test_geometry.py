@@ -200,18 +200,18 @@ class TestChordArc:
 class TestCurveCauchyOperator:
     def test_line_multiplier_value(self):
         t = np.linspace(-20.0, 20.0, 1024)
-        val = q.curve_cauchy_operator(q.CurveTrace(t, t.astype(complex)), tol=1e-6)
+        val = q.curve_cauchy_operator(q.CurveTrace(t, t.astype(complex)), tol=1e-6).weighted_norm_estimate
         assert abs(val - 0.5) <= 0.025
 
     def test_translation_rotation_invariance(self):
         tr = sin_trace(512)
-        base = q.curve_cauchy_operator(tr, tol=1e-6)
+        base = q.curve_cauchy_operator(tr, tol=1e-6).weighted_norm_estimate
         moved = q.curve_cauchy_operator(
             q.CurveTrace(tr.params, tr.points + (5.0 - 3.0j)), tol=1e-6
-        )
+        ).weighted_norm_estimate
         turned = q.curve_cauchy_operator(
             q.CurveTrace(tr.params, np.exp(0.7j) * tr.points), tol=1e-6
-        )
+        ).weighted_norm_estimate
         assert abs(moved - base) <= 1e-10
         assert abs(turned - base) <= 1e-10
 
@@ -232,20 +232,28 @@ class TestCurveCauchyOperator:
         t = np.linspace(-2 * np.pi, 2 * np.pi, m)
         gamma = t + 1j * a * np.sin(k * t)
         ref = dense_cauchy_norm(gamma)
-        est = q.curve_cauchy_operator(q.CurveTrace(t, gamma), tol=1e-12, max_iter=5000)
+        est = q.curve_cauchy_operator(q.CurveTrace(t, gamma), tol=1e-12, max_iter=5000).weighted_norm_estimate
         assert abs(est / ref - 1.0) <= 1e-6
         assert est <= ref * (1.0 + 1e-9)
 
     def test_frozen_default_estimates(self):
         sin = sin_trace(512)
-        sin_est = q.curve_cauchy_operator(sin)
+        sin_record = q.curve_cauchy_operator(sin)
+        assert sin_record.converged and sin_record.residual <= 1e-4
+        assert len(sin_record.rayleigh_history) == sin_record.iteration_count
+        sin_est = sin_record.weighted_norm_estimate
         t = np.linspace(-20.0, 20.0, 1024)
         line = q.CurveTrace(t, t.astype(complex))
-        line_est = q.curve_cauchy_operator(line)
+        line_est = q.curve_cauchy_operator(line).weighted_norm_estimate
         assert abs(sin_est / SIN_CAUCHY_ESTIMATE - 1.0) <= 1e-12
         assert abs(line_est / LINE_CAUCHY_ESTIMATE - 1.0) <= 1e-12
         assert abs(sin_est - dense_cauchy_norm(sin.points)) <= 1e-6
         assert abs(line_est - dense_cauchy_norm(line.points)) <= 1e-6
+
+    def test_one_step_budget_not_converged(self):
+        t = np.linspace(-4.0, 4.0, 64)
+        record = q.curve_cauchy_operator(q.CurveTrace(t, t + 0j), max_iter=1)
+        assert record.iteration_count == 1 and record.converged is False
 
 
 class TestRegularity:

@@ -289,7 +289,8 @@ class TestLanczosTop:
         def apply(v):
             return a.conj().T @ (a @ v)
 
-        history, residual = _lanczos_top(apply, np.vdot, start, 1e-12, 4 * m)
+        record = _lanczos_top(apply, np.vdot, start, 1e-12, 4 * m)
+        history, residual = record.rayleigh_history, record.residual
         assert residual <= 1e-12
         est = np.sqrt(history[-1])
         assert abs(est / ref - 1.0) <= 1e-10
@@ -298,15 +299,16 @@ class TestLanczosTop:
 
         # fixed budget: exactly `budget` steps, also past the dimension m,
         # unless the recurrence breaks down (residual exactly 0)
-        history, residual = _lanczos_top(apply, np.vdot, start, 0.0, budget)
+        record = _lanczos_top(apply, np.vdot, start, 0.0, budget)
+        history, residual = record.rayleigh_history, record.residual
         assert len(history) == budget or residual == 0.0
         assert np.sqrt(history[-1]) <= ref * (1.0 + 1e-9)
         assert all(y >= x * (1.0 - 1e-12) for x, y in zip(history, history[1:]))
 
     def test_zero_operator_breaks_down(self):
         start = np.ones(8, dtype=complex)
-        history, residual = _lanczos_top(np.zeros_like, np.vdot, start, 0.0, 50)
-        assert history == [0.0] and residual == 0.0
+        record = _lanczos_top(np.zeros_like, np.vdot, start, 0.0, 50)
+        assert record.rayleigh_history == [0.0] and record.residual == 0.0
 
     @pytest.mark.parametrize(
         "start",
